@@ -1,12 +1,14 @@
-// Evaluation-throughput bench: A/B/C of the struct-of-arrays batched decode
-// engine (soa) and the incremental scalar engine against a forced-cold
-// configuration on the paper's hardest workload (7-disk Towers of Hanoi,
-// multi-phase GA, pop 200, Table 1 operator settings), plus a cache-hit-rate
-// section on a cacheable domain (Sokoban).
+// Evaluation-throughput bench: A/B/C of the batched SIMD-kernel decode (soa)
+// and the per-slot incremental decode against a forced-cold configuration on
+// the paper's hardest workload (7-disk Towers of Hanoi, multi-phase GA, pop
+// 200, Table 1 operator settings), plus a cache-hit-rate section on a
+// cacheable domain (Sokoban). cold and incremental run Hanoi through
+// WithoutKernel (without_kernel.hpp), which hides the kernel so the same
+// PhaseRunner decodes slot by slot.
 //
-// All configs run the identical evolutionary trajectory (same seeds; both the
-// incremental path and the pooled layout are bit-identical to cold decode),
-// so evaluations/second over wall time is a fair apples-to-apples throughput
+// All configs run the identical evolutionary trajectory (same seeds; the
+// incremental and kernel decodes are bit-identical to cold decode), so
+// evaluations/second over wall time is a fair apples-to-apples throughput
 // measure. Results go to BENCH_eval.json (schema checked by
 // scripts/check_bench.py).
 #include "bench_common.hpp"
@@ -22,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 #include "util/timer.hpp"
+#include "without_kernel.hpp"
 
 namespace {
 
@@ -199,16 +202,15 @@ int main() {
   base.eval_batch_width = static_cast<std::size_t>(
       util::env_int("GAPLAN_BATCH", 8));
 
-  // cold and incremental pin the scalar layout (they are the PR 2 A/B pair;
-  // under kAuto Hanoi's SIMD kernel would take over both). soa is the same
-  // incremental trajectory through the pooled genome pool + batched kernel.
+  // cold and incremental decode slot by slot (the A/B pair of the
+  // incremental engine) through the kernel-less adapter; soa is the same
+  // incremental trajectory through the batched kernel decode.
+  const bench::WithoutKernel<domains::Hanoi> per_slot(hanoi);
   ga::GaConfig inc = base;
-  inc.eval_layout = ga::EvalLayout::kScalar;
   ga::GaConfig cold = inc;
   cold.incremental_eval = false;
   cold.ops_cache_size = 0;
   ga::GaConfig soa = base;
-  soa.eval_layout = ga::EvalLayout::kPooled;
   // Population-wide batches let the vector path's longest-remaining-first
   // grouping keep all 8 SIMD lanes busy (decoder.hpp run_vector); results
   // are bit-identical at any width.
@@ -223,9 +225,9 @@ int main() {
 
   const int reps = 5;  // best-of-5: single-core wall time is noisy
   const ConfigResult cold_r =
-      run_config("cold", hanoi, cold, params.runs, params.seed, reps);
+      run_config("cold", per_slot, cold, params.runs, params.seed, reps);
   const ConfigResult inc_r =
-      run_config("incremental", hanoi, inc, params.runs, params.seed, reps);
+      run_config("incremental", per_slot, inc, params.runs, params.seed, reps);
   const ConfigResult soa_r =
       run_config("soa", hanoi, soa, params.runs, params.seed, reps);
   const double speedup = cold_r.evals_per_sec() > 0.0

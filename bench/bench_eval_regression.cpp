@@ -1,10 +1,11 @@
-// Perf-regression gate for the struct-of-arrays batched decoder: a ~5 second
-// pooled-vs-incremental smoke on the BENCH_eval.json workload shape (Hanoi-7,
-// pop 200, mixed crossover) that FAILS (exit 1) when the pooled layout does
-// not clear 1.5x the scalar incremental engine in evaluations/second. The
-// full bench demonstrates ~2x; the gate's slack absorbs scheduler noise on a
-// loaded CI box while still catching a real regression (a fallback to the
-// scalar path, a kernel pessimization, a lane-copy blowup).
+// Perf-regression gate for the batched SIMD-kernel decoder: a ~5 second
+// kernel-vs-per-slot smoke on the BENCH_eval.json workload shape (Hanoi-7,
+// pop 200, mixed crossover) that FAILS (exit 1) when the kernel decode does
+// not clear 1.5x the per-slot incremental decode (the same PhaseRunner over
+// WithoutKernel<Hanoi>, see without_kernel.hpp) in evaluations/second. The
+// gate's slack absorbs scheduler noise on a loaded CI box while still
+// catching a real regression (a fallback to the per-slot path, a kernel
+// pessimization, a lane-copy blowup).
 //
 // Registered as the `bench_eval_regression` ctest under CONFIGURATIONS perf
 // (label `perf`), so a plain tier-1 `ctest` never runs it:
@@ -17,6 +18,7 @@
 #include "domains/hanoi.hpp"
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
+#include "without_kernel.hpp"
 
 namespace {
 
@@ -26,15 +28,15 @@ std::uint64_t evaluations_total() {
   return c != nullptr ? c->value : 0;
 }
 
-double evals_per_sec(const gaplan::domains::Hanoi& hanoi,
-                     const gaplan::ga::GaConfig& cfg, std::uint64_t seed,
-                     int reps) {
+template <typename P>
+double evals_per_sec(const P& problem, const gaplan::ga::GaConfig& cfg,
+                     std::uint64_t seed, int reps) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     const std::uint64_t before = evaluations_total();
     gaplan::util::Timer timer;
     gaplan::util::Rng rng(seed);
-    gaplan::ga::run_multiphase(hanoi, cfg, rng);
+    gaplan::ga::run_multiphase(problem, cfg, rng);
     const double secs = timer.seconds();
     const double rate =
         secs > 0.0
@@ -62,17 +64,16 @@ int main() {
   base.eval_checkpoint_stride = 2;
   base.stop_on_valid = false;
 
+  const bench::WithoutKernel<domains::Hanoi> per_slot(hanoi);
   ga::GaConfig inc = base;
-  inc.eval_layout = ga::EvalLayout::kScalar;
   ga::GaConfig soa = base;
-  soa.eval_layout = ga::EvalLayout::kPooled;
   // Population-wide batches feed the vector path's longest-remaining-first
   // grouping (bit-identical at any width, see bench_eval.cpp).
   soa.eval_batch_width = base.population_size;
 
   const std::uint64_t seed = 42;
   const int reps = 2;
-  const double inc_rate = evals_per_sec(hanoi, inc, seed, reps);
+  const double inc_rate = evals_per_sec(per_slot, inc, seed, reps);
   const double soa_rate = evals_per_sec(hanoi, soa, seed, reps);
   const double speedup = inc_rate > 0.0 ? soa_rate / inc_rate : 0.0;
 
@@ -81,7 +82,7 @@ int main() {
               inc_rate, soa_rate, speedup, kFloor);
   if (speedup < kFloor) {
     std::fprintf(stderr,
-                 "FAIL: pooled layout speedup %.2fx below the %.2fx floor\n",
+                 "FAIL: kernel decode speedup %.2fx below the %.2fx floor\n",
                  speedup, kFloor);
     return 1;
   }

@@ -223,9 +223,10 @@ std::string handle_line(PlanService& service, const std::string& line,
   if (*cmd == "submit") return handle_submit(service, msg);
 
   if (*cmd == "poll" || *cmd == "wait" || *cmd == "cancel" || *cmd == "trace") {
-    const auto id_num = msg.get_number("id");
-    if (!id_num || *id_num < 1) return error_response(*cmd + " needs an 'id'");
-    const auto id = static_cast<std::uint64_t>(*id_num);
+    std::uint64_t id = 0;
+    std::string id_error;
+    if (!msg.get_integer("id", id, id_error, 1)) return error_response(id_error);
+    if (id == 0) return error_response(*cmd + " needs an 'id'");
     if (*cmd == "cancel") {
       const bool cancelled = service.cancel(id);
       JsonWriter w;

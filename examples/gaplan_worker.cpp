@@ -248,19 +248,20 @@ std::string handle_ishard(ShardTable& shards, const WireMessage& msg) {
   const std::string* token = msg.get_string("shard");
   if (!token) return error_response("ishard needs a 'shard' token");
   gaplan::ga::IslandConfig icfg;
-  icfg.islands =
-      static_cast<std::size_t>(msg.get_number("islands").value_or(0));
-  icfg.migration_interval = static_cast<std::size_t>(
-      msg.get_number("interval").value_or(icfg.migration_interval));
-  icfg.migrants = static_cast<std::size_t>(
-      msg.get_number("migrants").value_or(icfg.migrants));
-  const auto begin_num = msg.get_number("begin");
-  const auto end_num = msg.get_number("end");
-  if (icfg.islands == 0 || !begin_num || !end_num) {
+  icfg.islands = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::string field_error;
+  if (!msg.get_integer("islands", icfg.islands, field_error) ||
+      !msg.get_integer("interval", icfg.migration_interval, field_error) ||
+      !msg.get_integer("migrants", icfg.migrants, field_error) ||
+      !msg.get_integer("begin", begin, field_error) ||
+      !msg.get_integer("end", end, field_error)) {
+    return error_response(field_error);
+  }
+  if (icfg.islands == 0 || !msg.get_number("begin") || !msg.get_number("end")) {
     return error_response("ishard needs islands/begin/end");
   }
-  const std::size_t begin = static_cast<std::size_t>(*begin_num);
-  const std::size_t end = static_cast<std::size_t>(*end_num);
   if (begin >= end || end > icfg.islands) {
     return error_response("ishard range out of bounds");
   }
@@ -328,9 +329,10 @@ std::string handle_line(WorkerState& ws, const std::string& line,
 
   if (*cmd == "poll" || *cmd == "wait" || *cmd == "cancel" ||
       *cmd == "trace") {
-    const auto id_num = msg.get_number("id");
-    if (!id_num || *id_num < 1) return error_response(*cmd + " needs an 'id'");
-    const auto id = static_cast<std::uint64_t>(*id_num);
+    std::uint64_t id = 0;
+    std::string id_error;
+    if (!msg.get_integer("id", id, id_error, 1)) return error_response(id_error);
+    if (id == 0) return error_response(*cmd + " needs an 'id'");
     if (*cmd == "cancel") {
       const bool cancelled = service.cancel(id);
       JsonWriter w;
@@ -409,12 +411,17 @@ std::string handle_line(WorkerState& ws, const std::string& line,
       });
     }
     if (*cmd == "icollect") {
-      const auto island = msg.get_number("island");
-      if (!island) return error_response("icollect needs an 'island'");
+      std::size_t island = 0;
+      std::string field_error;
+      if (!msg.get_number("island")) {
+        return error_response("icollect needs an 'island'");
+      }
+      if (!msg.get_integer("island", island, field_error)) {
+        return error_response(field_error);
+      }
       return ws.shards->with(
           *token, false, [&](gaplan::dist::ShardJob& job) {
-            const auto batch =
-                job.collect(static_cast<std::size_t>(*island));
+            const auto batch = job.collect(island);
             JsonWriter w;
             w.field("ok", true)
                 .field("frame", std::string_view(
@@ -423,17 +430,21 @@ std::string handle_line(WorkerState& ws, const std::string& line,
           });
     }
     if (*cmd == "imigrate") {
-      const auto island = msg.get_number("island");
+      std::size_t island = 0;
+      std::string field_error;
       const std::string* frame = msg.get_string("frame");
-      if (!island || !frame) {
+      if (!msg.get_number("island") || !frame) {
         return error_response("imigrate needs 'island' and 'frame'");
+      }
+      if (!msg.get_integer("island", island, field_error)) {
+        return error_response(field_error);
       }
       return ws.shards->with(
           *token, false, [&](gaplan::dist::ShardJob& job) {
             std::string err;
             const auto batch = gaplan::dist::parse_migrants(*frame, &err);
             if (!batch) return error_response("bad frame: " + err);
-            job.inject(static_cast<std::size_t>(*island), *batch);
+            job.inject(island, *batch);
             JsonWriter w;
             w.field("ok", true);
             return w.finish();

@@ -139,15 +139,6 @@ Report lint_config(const ga::GaConfig& cfg) {
                        "population best",
                    "tournament_size");
   }
-  if (cfg.eval_layout == ga::EvalLayout::kPooled &&
-      (cfg.replacement == ga::ReplacementKind::kCrowding ||
-       cfg.encoding == ga::EncodingKind::kDirect)) {
-    report.warning("config.pooled-layout-ignored",
-                   "eval_layout=pooled is ignored: only the generational "
-                   "indirect engine uses the struct-of-arrays genome pool "
-                   "(crowding and the direct encoding always run scalar)",
-                   "eval_layout");
-  }
   if (cfg.mutation_rate > 0.5) {
     report.warning("config.high-mutation-rate",
                    "per-gene mutation rate " + num(cfg.mutation_rate) +

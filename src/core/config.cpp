@@ -56,15 +56,6 @@ const char* to_string(ReplacementKind k) noexcept {
   return "?";
 }
 
-const char* to_string(EvalLayout k) noexcept {
-  switch (k) {
-    case EvalLayout::kAuto: return "auto";
-    case EvalLayout::kScalar: return "scalar";
-    case EvalLayout::kPooled: return "pooled";
-  }
-  return "?";
-}
-
 namespace {
 void check(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(std::string("GaConfig: ") + what);
@@ -145,9 +136,6 @@ std::string GaConfig::summary() const {
        << ",cache=" << ops_cache_size << ")";
   } else {
     os << " cold-eval";
-  }
-  if (eval_layout != EvalLayout::kAuto) {
-    os << " layout=" << to_string(eval_layout);
   }
   os << " batch=" << eval_batch_width;
   return os.str();

@@ -44,24 +44,12 @@ enum class ReplacementKind { kGenerational, kCrowding };
 ///   are rare and the operator under-mixes.
 enum class StateMatchKind { kValidOps, kExactState };
 
-/// Memory layout of the evaluation pass (PR 7; see docs/API.md "Evaluation
-/// pipeline"). Results are bit-identical across layouts — this knob trades
-/// throughput, never trajectories.
-/// * kAuto (default): struct-of-arrays genome pool with batched SIMD-kernel
-///   decode on domains that expose one (SimdDecodable), scalar otherwise.
-/// * kScalar: always the vector-of-Individuals runner (A/B baseline).
-/// * kPooled: force the pooled layout even on kernel-less domains (lane
-///   splicing + per-slot scalar decode). Only the generational indirect
-///   engine pools; crowding and the direct encoding stay scalar.
-enum class EvalLayout { kAuto, kScalar, kPooled };
-
 const char* to_string(CrossoverKind k) noexcept;
 const char* to_string(EncodingKind k) noexcept;
 const char* to_string(CostFitnessKind k) noexcept;
 const char* to_string(SelectionKind k) noexcept;
 const char* to_string(StateMatchKind k) noexcept;
 const char* to_string(ReplacementKind k) noexcept;
-const char* to_string(EvalLayout k) noexcept;
 
 struct GaConfig {
   // --- population / run shape (Table 1 & 3 defaults) -----------------------
@@ -122,12 +110,8 @@ struct GaConfig {
   /// Entries in each per-thread valid-ops transposition cache (rounded up to
   /// a power of two; 0 disables). Only domains declaring kCacheableOps use it.
   std::size_t ops_cache_size = 2048;
-  /// Population memory layout for evaluation (PR 7). Bit-identical results
-  /// either way; kAuto batches through the domain's SIMD kernel when one
-  /// exists.
-  EvalLayout eval_layout = EvalLayout::kAuto;
-  /// Individuals decoded per kernel batch under the pooled layout (the
-  /// wavefront width). Also seeds the thread pool's work grain
+  /// Individuals decoded per kernel batch on domains with a SIMD decode
+  /// kernel (the wavefront width). Also seeds the thread pool's work grain
   /// (ThreadPool::grain_for). Valid range [1, 64].
   std::size_t eval_batch_width = 8;
 

@@ -10,11 +10,13 @@
 // verified by equality on lookup, so a 64-bit hash collision can never return
 // the wrong operation list: results are bit-identical to uncached decoding.
 //
-// Interplay with the pooled layout (PR 7): domains that expose a SimdDecodable
-// kernel bypass this cache entirely under EvalLayout::kAuto/kPooled — the
-// kernel's LUT is a perfect, precomputed replacement for the memo table, so
-// the batch decoder never probes here. Kernel-less domains forced to kPooled
-// still evaluate through evaluate_resume and keep using these contexts.
+// Interplay with the batched kernel decode: domains that expose a
+// SimdDecodable kernel bypass this cache entirely for the indirect encoding —
+// the kernel's LUT is a perfect, precomputed replacement for the memo table,
+// so the batch decoder never probes here. Kernel-less domains decode per slot
+// through evaluate_resume and keep using these contexts; there the cache
+// pays for itself (Sokoban at gaplan_serve's tuning ran 2.3-2.6x slower with
+// ops_cache_size=0 on a 4-vCPU AVX-512 VM).
 //
 // Contexts are thread-local (one writer, no synchronization) and tagged with
 // the (problem address, engine epoch) pair they were filled for; sync()

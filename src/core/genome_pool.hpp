@@ -1,20 +1,20 @@
-// Struct-of-arrays genome pool (PR 7).
+// Struct-of-arrays genome pool: the population storage of the GA engine's
+// PhaseRunner.
 //
-// The scalar engine stores the population as vector<Individual>: every genome
-// is its own heap vector, so reproduction churns through per-individual
-// allocations and the decode pass pointer-chases a different cache line per
-// individual. The pool flattens all genomes of one population into a single
-// contiguous gene array of fixed-stride lanes — lane i occupies
+// Storing the population as vector<Individual> makes every genome its own
+// heap vector, so reproduction churns through per-individual allocations and
+// the decode pass pointer-chases a different cache line per individual. The
+// pool flattens all genomes of one population into a single contiguous gene
+// array of fixed-stride lanes — lane i occupies
 // genes[i*stride .. i*stride+max_length) — with the per-individual metadata
 // (genome length, fitness, and the recycled Evaluation records that carry the
 // dirty-prefix checkpoints) in parallel arrays indexed by slot.
 //
-// Two pools are double-buffered by the pooled phase runner exactly like the
-// scalar engine's pop_/prev_ pair: reproduction splices children into the
-// retired pool's lanes with plain contiguous copies (no vector churn), then
-// the pools swap. Evaluation records keep their vector capacity across
-// generations and phases (Evaluation::reset()), so steady-state reproduction
-// and decoding allocate nothing.
+// The phase runner double-buffers two pools: reproduction splices children
+// into the retired pool's lanes with plain contiguous copies (no vector
+// churn), then the pools swap. Evaluation records keep their vector capacity
+// across generations and phases (Evaluation::reset()), so steady-state
+// reproduction and decoding allocate nothing.
 #pragma once
 
 #include <algorithm>
@@ -79,8 +79,8 @@ class GenomePool {
   Evaluation<State>& eval(std::size_t i) noexcept { return evals_[i]; }
   const Evaluation<State>& eval(std::size_t i) const noexcept { return evals_[i]; }
 
-  /// Fitness metadata lane, shaped exactly like the scalar runner's fitness_
-  /// vector so selection draws the same indices from the same RNG stream.
+  /// Fitness metadata lane: one combined fitness per slot, the input of
+  /// tournament/roulette selection.
   std::vector<double>& fitness() noexcept { return fitness_; }
   const std::vector<double>& fitness() const noexcept { return fitness_; }
 

@@ -39,9 +39,9 @@ MultiPhaseResult<typename P::StateT> run_multiphase_from(
     util::Rng& rng, util::ThreadPool* pool = nullptr,
     obs::SpanContext parent = {}) {
   using State = typename P::StateT;
-  // One Engine across all phases: under the pooled layout (PR 7) it owns the
-  // struct-of-arrays genome pools, so the big lane buffers are allocated once
-  // and recycled phase to phase instead of being rebuilt per phase.
+  // One Engine across all phases: its PhaseRunner owns the struct-of-arrays
+  // genome pools, so the big lane buffers are allocated once and recycled
+  // phase to phase instead of being rebuilt per phase.
   Engine<P> engine(problem, cfg, pool);
   MultiPhaseResult<State> result;
   State current = start;

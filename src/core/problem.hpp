@@ -67,9 +67,9 @@ struct PackedOps {
 /// set is a pure function of a small state key exposes `simd_kernel()`, an
 /// object carrying a lookup table of packed operation sets plus inline
 /// apply/cost/hash/goal replicas. The kernel MUST agree bit-for-bit with the
-/// domain's own valid_ops/apply/op_cost/hash/is_goal — the pooled engine's
-/// trajectories are asserted identical to the scalar engine's (tests/
-/// test_eval_soa.cpp). Constraints: every op id < 16 and every state has at
+/// domain's own valid_ops/apply/op_cost/hash/is_goal — the engine's
+/// trajectories are held to golden fixtures recorded with the per-slot
+/// decode (tests/test_golden.cpp, tests/test_eval_soa.cpp). Constraints: every op id < 16 and every state has at
 /// most 16 valid operations (the 4-bit packing above).
 ///
 /// The kernel returns raw packed words (lut_ops/lut_count) rather than

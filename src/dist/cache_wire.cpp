@@ -31,7 +31,7 @@ bool parse_cached_plan(const serve::WireMessage& msg, serve::CachedPlan& out,
   out.plan.clear();
   out.plan.reserve(plan->size());
   for (const double v : *plan) {
-    if (!std::isfinite(v) || v != std::floor(v)) {
+    if (!serve::wire_int_in_range(v)) {
       error = "non-integer plan step";
       return false;
     }
@@ -40,11 +40,10 @@ bool parse_cached_plan(const serve::WireMessage& msg, serve::CachedPlan& out,
   out.valid = msg.get_bool("valid").value_or(false);
   out.plan_cost = msg.get_number("plan_cost").value_or(0.0);
   out.goal_fitness = msg.get_number("goal_fitness").value_or(0.0);
-  out.phases_run =
-      static_cast<std::size_t>(msg.get_number("phases").value_or(0.0));
-  out.generations_total =
-      static_cast<std::size_t>(msg.get_number("generations").value_or(0.0));
-  return true;
+  out.phases_run = 0;
+  out.generations_total = 0;
+  return msg.get_integer("phases", out.phases_run, error) &&
+         msg.get_integer("generations", out.generations_total, error);
 }
 
 std::string render_cache_probe(const serve::Fingerprint& fp) {

@@ -8,6 +8,15 @@
 
 namespace gaplan::dist {
 
+namespace {
+
+ga::IslandRank rank_of(const ShardOutcome& o) {
+  return {o.best_valid, o.best_goal_fit, o.best_fitness, o.best_gen,
+          o.best_island};
+}
+
+}  // namespace
+
 ShardOutcome merge_shard_outcomes(const std::vector<ShardOutcome>& outs) {
   if (outs.empty()) {
     throw std::invalid_argument("merge_shard_outcomes: no outcomes");
@@ -22,16 +31,7 @@ ShardOutcome merge_shard_outcomes(const std::vector<ShardOutcome>& outs) {
     }
     merged.generations_run = std::max(merged.generations_run, o.generations_run);
     merged.migrations = std::max(merged.migrations, o.migrations);
-    const bool strictly_better = better_outcome_key(
-        o.best_valid, o.best_goal_fit, o.best_fitness, merged.best_valid,
-        merged.best_goal_fit, merged.best_fitness);
-    const bool strictly_worse = better_outcome_key(
-        merged.best_valid, merged.best_goal_fit, merged.best_fitness,
-        o.best_valid, o.best_goal_fit, o.best_fitness);
-    const bool earlier = o.best_gen < merged.best_gen ||
-                         (o.best_gen == merged.best_gen &&
-                          o.best_island < merged.best_island);
-    if (strictly_better || (!strictly_worse && earlier)) {
+    if (ga::outranks(rank_of(o), rank_of(merged))) {
       merged.best_island = o.best_island;
       merged.best_gen = o.best_gen;
       merged.best_valid = o.best_valid;
@@ -89,7 +89,7 @@ std::vector<std::pair<std::size_t, std::size_t>> partition_islands(
 
 namespace {
 
-template <ga::PlanningProblem P, template <class> class RunnerT>
+template <ga::PlanningProblem P>
 class ShardJobImpl final : public ShardJob {
  public:
   ShardJobImpl(P problem, const ga::GaConfig& cfg,
@@ -114,7 +114,7 @@ class ShardJobImpl final : public ShardJob {
   ShardOutcome finish() override { return impl_.finish(); }
 
  private:
-  IslandShardRunner<P, RunnerT> impl_;
+  IslandShardRunner<P> impl_;
 };
 
 template <ga::PlanningProblem P>
@@ -123,14 +123,8 @@ std::unique_ptr<ShardJob> make_for(P problem, const ga::GaConfig& cfg,
                                    std::size_t begin, std::size_t end,
                                    std::uint64_t seed,
                                    util::ThreadPool* pool) {
-  // Mirror run_islands' layout choice; either layout yields bit-identical
-  // results (layout parity), this just keeps the execution profile the same.
-  if (ga::use_pooled_layout<P>(cfg)) {
-    return std::make_unique<ShardJobImpl<P, ga::PooledPhaseRunner>>(
-        std::move(problem), cfg, icfg, begin, end, seed, pool);
-  }
-  return std::make_unique<ShardJobImpl<P, ga::PhaseRunner>>(
-      std::move(problem), cfg, icfg, begin, end, seed, pool);
+  return std::make_unique<ShardJobImpl<P>>(std::move(problem), cfg, icfg,
+                                           begin, end, seed, pool);
 }
 
 }  // namespace
@@ -197,9 +191,9 @@ ShardOutcome run_sharded_islands(
       for (const auto& s : shards) any = any || s->found_valid();
       if (any) break;
     }
-    // All collect, then all inject (matching run_islands_lockstep's two
-    // passes), each batch through the wire codec — exactly the bytes the
-    // router would move between processes.
+    // All collect, then all inject (matching run_islands' two passes),
+    // each batch through the wire codec — exactly the bytes the router
+    // would move between processes.
     std::vector<MigrantBatch> outgoing(icfg.islands);
     for (std::size_t i = 0; i < icfg.islands; ++i) {
       const std::string frame = encode_migrants(owner(i).collect(i));

@@ -2,30 +2,24 @@
 // shards that evolve in separate processes, exchanging migrants through the
 // dist migration codec.
 //
-// The protocol is interval-lockstep. Between migration boundaries each shard
-// runs its islands independently (evaluate/reproduce, exactly the
-// run_islands_lockstep inner loop); at a boundary every shard pauses *after*
-// the evaluate step with its reproduce deferred, the coordinator moves each
-// island's migrants to its ring successor (possibly on another shard), and
-// advance() performs the deferred reproduce. Because the per-island RNG
-// streams are split off the request seed identically on every shard and
-// migrants travel as genomes that the receiver re-evaluates cold
-// (bit-identical to the sender's evaluation by the incremental/layout parity
-// invariants), the merged result is a pure function of (problem, config,
-// seed, K) — independent of how the islands are grouped into shards. With
-// stop_on_valid=false it is bit-identical to a single-process run_islands
-// call (tested in tests/test_dist.cpp); with stop_on_valid=true the stop
-// condition is only checked at migration boundaries, a deliberately relaxed
-// semantic that keeps the result grouping-independent (a mid-interval stop
-// would depend on which shard noticed first).
+// Each shard is a ga::IslandGroup (core/island.hpp) over its island range:
+// the group pauses at every migration boundary after the evaluate step with
+// its reproduce deferred, the coordinator moves each island's migrants to
+// its ring successor (possibly on another shard), and advance() performs the
+// deferred reproduce. Because every group splits the request seed into all K
+// per-island rng streams identically and migrants travel as genomes that the
+// receiver re-evaluates cold (bit-identical to the sender's evaluation, see
+// tests/test_golden.cpp), the merged result is a pure function of (problem,
+// config, seed, K) — independent of how the islands are grouped into shards.
+// With stop_on_valid=false it is bit-identical to a single-process
+// run_islands call (tested in tests/test_dist.cpp); with stop_on_valid=true
+// the stop condition is only checked at migration boundaries, a deliberately
+// relaxed semantic that keeps the result grouping-independent (a
+// mid-interval stop would depend on which shard noticed first).
 //
-// Merging replicates the single-process scan's tie-breaks. The lockstep loop
-// replaces the global best only on a strict better_solution improvement
-// while scanning generation-major then island-minor, so the winner is the
-// island that *first attained* the globally maximal evaluation. Each shard
-// therefore reports, per candidate, the generation its final best was first
-// attained; merge_shard_outcomes picks the maximal (valid, goal_fit,
-// fitness) key and breaks ties by smallest (generation, island index).
+// Each shard reports its winning island's ga::IslandRank (evaluation key
+// plus the generation its best was first reached); merge_shard_outcomes
+// picks the winner with ga::outranks, the same order run_islands uses.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +55,6 @@ struct ShardOutcome {
   ga::Genome best_genes;
 };
 
-/// better_solution (engine.hpp) over the wire-friendly key fields.
-inline bool better_outcome_key(bool valid_a, double goal_a, double fit_a,
-                               bool valid_b, double goal_b, double fit_b) {
-  if (valid_a != valid_b) return valid_a;
-  if (goal_a != goal_b) return goal_a > goal_b;
-  return fit_a > fit_b;
-}
-
 /// Folds per-shard outcomes into the request's result, replicating the
 /// single-process tie-breaks (see header comment). Requires at least one
 /// outcome.
@@ -81,10 +67,9 @@ ShardOutcome merge_shard_outcomes(const std::vector<ShardOutcome>& outs);
 std::vector<std::pair<std::size_t, std::size_t>> partition_islands(
     std::size_t islands, const std::vector<double>& weights);
 
-/// One shard: islands [begin, end) of a K-island run. RunnerT is
-/// ga::PhaseRunner or ga::PooledPhaseRunner (layout parity makes the results
-/// identical; make_shard_job mirrors run_islands' use_pooled_layout choice).
-template <ga::PlanningProblem P, template <class> class RunnerT>
+/// One shard: islands [begin, end) of a K-island run, driving a
+/// ga::IslandGroup that owns the islands.
+template <ga::PlanningProblem P>
 class IslandShardRunner {
  public:
   using State = typename P::StateT;
@@ -94,93 +79,34 @@ class IslandShardRunner {
                     std::size_t end, std::uint64_t seed,
                     util::ThreadPool* pool)
       : problem_(std::move(problem)),
-        cfg_(cfg),
-        icfg_(icfg),
-        begin_(begin),
-        end_(end),
-        epoch_(ga::next_eval_epoch()) {
-    analysis::enforce_config(cfg_, "dist.shard");
-    if (icfg_.islands == 0 || begin_ >= end_ || end_ > icfg_.islands) {
-      throw std::invalid_argument("IslandShardRunner: bad island range");
-    }
-    // Split the request seed into all K per-island streams exactly as
-    // run_islands does, then keep only this shard's range — every shard
-    // derives identical streams, so grouping cannot change any island's
-    // randomness.
-    util::Rng root(seed);
-    std::vector<util::Rng> all;
-    all.reserve(icfg_.islands);
-    for (std::size_t i = 0; i < icfg_.islands; ++i) all.push_back(root.split());
-    start_ = problem_.initial_state();
-    const std::size_t local = end_ - begin_;
-    runners_.reserve(local);
-    rngs_.reserve(local);
-    track_.resize(local);
-    for (std::size_t i = 0; i < local; ++i) {
-      rngs_.push_back(all[begin_ + i]);
-      runners_.emplace_back(problem_, cfg_, pool);
-      runners_[i].init(start_, rngs_[i]);
-    }
-  }
+        seed_rng_(checked_seed(cfg, seed)),
+        group_(problem_, cfg, icfg, begin, end, seed_rng_, pool),
+        start_(problem_.initial_state()),
+        epoch_(ga::next_eval_epoch()) {}
 
-  std::size_t begin() const noexcept { return begin_; }
-  std::size_t end() const noexcept { return end_; }
+  std::size_t begin() const noexcept { return group_.begin(); }
+  std::size_t end() const noexcept { return group_.end(); }
 
   /// Attaches generation spans of every local island under `ctx` (the
   /// worker's shard span). Distributed runs do not reproduce the
   /// single-process per-island span tree; the worker roots its own.
   void set_span_context(obs::SpanContext ctx) {
-    for (auto& r : runners_) r.set_span_context(ctx);
+    for (std::size_t i = begin(); i < end(); ++i) group_.set_span_context(i, ctx);
   }
 
-  /// Runs to the next migration boundary or to the end of the phase.
-  /// Returns true when paused at a boundary (populations evaluated,
-  /// reproduce deferred until advance()); false when generations are
-  /// exhausted — call finish() next.
-  bool run_interval() {
-    if (pending_reproduce_) {
-      throw std::logic_error("run_interval: advance() the boundary first");
-    }
-    for (;;) {
-      for (std::size_t i = 0; i < runners_.size(); ++i) {
-        runners_[i].step_evaluate();
-        const auto& ev = runners_[i].best().eval;
-        Track& t = track_[i];
-        if (!t.seen || ga::better_solution(ev, t.best)) {
-          t.best = ev;  // key fields only matter, but the copy is small
-          t.gen = gen_;
-          t.seen = true;
-        }
-      }
-      generations_run_ = gen_ + 1;
-      if (gen_ + 1 == cfg_.generations) return false;
-      if (icfg_.islands > 1 && icfg_.migration_interval > 0 &&
-          (gen_ + 1) % icfg_.migration_interval == 0) {
-        pending_reproduce_ = true;
-        return true;
-      }
-      for (std::size_t i = 0; i < runners_.size(); ++i) {
-        runners_[i].step_reproduce(rngs_[i]);
-      }
-      ++gen_;
-    }
-  }
+  /// Runs to the next migration boundary (true) or to the end of the phase
+  /// (false — call finish() next).
+  bool run_interval() { return group_.run_interval(false); }
 
   /// Any local island has found a valid plan (the coordinator's boundary
   /// stop_on_valid check).
-  bool found_valid() const {
-    for (const auto& r : runners_) {
-      if (r.result().found_valid) return true;
-    }
-    return false;
-  }
+  bool found_valid() const { return group_.found_valid(); }
 
   /// The outgoing migrants of global island `island` (must be local):
   /// best-of-phase first plus current elites, genomes only.
   MigrantBatch collect(std::size_t island) const {
-    const RunnerT<P>& r = runners_.at(local_index(island));
     std::vector<ga::Individual<State>> tmp;
-    r.collect_migrants(icfg_.migrants, tmp);
+    group_.collect(island, tmp);
     MigrantBatch batch;
     batch.genomes.reserve(tmp.size());
     for (auto& ind : tmp) batch.genomes.push_back(std::move(ind.genes));
@@ -192,99 +118,53 @@ class IslandShardRunner {
   /// evaluation — then replaces the island's worst individuals.
   void inject(std::size_t island, const MigrantBatch& batch) {
     if (batch.genomes.empty()) return;
-    RunnerT<P>& r = runners_.at(local_index(island));
     static thread_local ga::EvalContext<State> ctx;
     ctx.sync(&problem_, epoch_, 0);  // no transposition cache for one-offs
     std::vector<ga::Individual<State>> migrants(batch.genomes.size());
     for (std::size_t m = 0; m < batch.genomes.size(); ++m) {
       migrants[m].genes = batch.genomes[m];
-      ga::evaluate_into(problem_, cfg_, start_,
+      ga::evaluate_into(problem_, group_.config(), start_,
                         std::span<const ga::Gene>(migrants[m].genes), ctx,
                         migrants[m].eval);
     }
-    r.replace_worst(migrants);
+    group_.inject(island, migrants);
   }
 
   /// Performs the reproduce step deferred at the last boundary.
-  void advance() {
-    if (!pending_reproduce_) {
-      throw std::logic_error("advance: not paused at a boundary");
-    }
-    for (std::size_t i = 0; i < runners_.size(); ++i) {
-      runners_[i].step_reproduce(rngs_[i]);
-    }
-    ++gen_;
-    pending_reproduce_ = false;
-    ++migrations_;
-  }
+  void advance() { group_.advance(); }
 
-  ShardOutcome finish() {
+  ShardOutcome finish() const {
     ShardOutcome out;
-    out.generations_run = generations_run_;
-    out.migrations = migrations_;
-    bool have = false;
-    for (std::size_t i = 0; i < runners_.size(); ++i) {
-      const auto& pr = runners_[i].result();
-      if (pr.found_valid &&
-          (!out.found_valid || pr.generation_found < out.generation_found)) {
-        out.found_valid = true;
-        out.generation_found = pr.generation_found;
-      }
-      const auto& best = runners_[i].best();
-      const Track& t = track_[i];
-      const bool wins =
-          !have ||
-          better_outcome_key(best.eval.valid, best.eval.goal_fit,
-                             best.eval.fitness, out.best_valid,
-                             out.best_goal_fit, out.best_fitness) ||
-          (!better_outcome_key(out.best_valid, out.best_goal_fit,
-                               out.best_fitness, best.eval.valid,
-                               best.eval.goal_fit, best.eval.fitness) &&
-           (t.gen < out.best_gen ||
-            (t.gen == out.best_gen && begin_ + i < out.best_island)));
-      if (wins) {
-        out.best_island = begin_ + i;
-        out.best_gen = t.gen;
-        out.best_valid = best.eval.valid;
-        out.best_goal_fit = best.eval.goal_fit;
-        out.best_fitness = best.eval.fitness;
-        out.best_plan_cost = best.eval.plan_cost;
-        out.best_ops = best.eval.ops;
-        out.best_genes = best.genes;
-        have = true;
-      }
-    }
+    out.found_valid = group_.found_valid();
+    if (out.found_valid) out.generation_found = group_.generation_found();
+    out.generations_run = group_.generations_run();
+    out.migrations = group_.migrations();
+    const ga::IslandRank w = group_.winner();
+    const ga::Individual<State>& best = group_.best(w.island);
+    out.best_island = w.island;
+    out.best_gen = w.gen;
+    out.best_valid = best.eval.valid;
+    out.best_goal_fit = best.eval.goal_fit;
+    out.best_fitness = best.eval.fitness;
+    out.best_plan_cost = best.eval.plan_cost;
+    out.best_ops = best.eval.ops;
+    out.best_genes = best.genes;
     return out;
   }
 
  private:
-  struct Track {
-    ga::Evaluation<State> best;
-    std::size_t gen = 0;
-    bool seen = false;
-  };
-
-  std::size_t local_index(std::size_t island) const {
-    if (island < begin_ || island >= end_) {
-      throw std::out_of_range("island not on this shard");
-    }
-    return island - begin_;
+  /// Rejects an invalid config before the group initialises any island.
+  static std::uint64_t checked_seed(const ga::GaConfig& cfg,
+                                    std::uint64_t seed) {
+    analysis::enforce_config(cfg, "dist.shard");
+    return seed;
   }
 
   P problem_;
-  ga::GaConfig cfg_;
-  ga::IslandConfig icfg_;
-  std::size_t begin_;
-  std::size_t end_;
+  util::Rng seed_rng_;  ///< the request seed the group splits per island
+  ga::IslandGroup<P> group_;
+  State start_;
   std::uint64_t epoch_;
-  State start_{};
-  std::vector<RunnerT<P>> runners_;
-  std::vector<util::Rng> rngs_;
-  std::vector<Track> track_;
-  std::size_t gen_ = 0;  ///< next generation to evaluate
-  std::size_t generations_run_ = 0;
-  std::size_t migrations_ = 0;
-  bool pending_reproduce_ = false;
 };
 
 /// Type-erased shard (the worker binary's unit of work; the domain dispatch

@@ -2,8 +2,8 @@
 //
 // A migrant batch ships *genomes only*. The receiver re-evaluates each
 // genome cold through the normal fitness path (evaluate_into), which is
-// bit-identical to the sender's incremental evaluation by the parity
-// invariants established for the eval cache and the SoA layout — so
+// bit-identical to the sender's incremental or batched-kernel evaluation
+// (tests/test_golden.cpp cold-evaluates every reported genome) — so
 // shipping Evaluation fields (fitness, plan, per-state traces) would be
 // redundant bytes that could only ever disagree with the receiver's own
 // decode. Genes are doubles but travel as 16-hex-digit u64 bit patterns:

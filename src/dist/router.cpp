@@ -45,15 +45,14 @@ std::string render_cached_status(std::uint64_t id,
 ShardOutcome parse_shard_outcome(const WireMessage& msg) {
   ShardOutcome o;
   o.found_valid = msg.get_bool("found_valid").value_or(false);
-  o.generation_found =
-      static_cast<std::size_t>(msg.get_number("generation_found").value_or(0));
-  o.generations_run =
-      static_cast<std::size_t>(msg.get_number("generations_run").value_or(0));
-  o.migrations =
-      static_cast<std::size_t>(msg.get_number("migrations").value_or(0));
-  o.best_island =
-      static_cast<std::size_t>(msg.get_number("best_island").value_or(0));
-  o.best_gen = static_cast<std::size_t>(msg.get_number("best_gen").value_or(0));
+  std::string error;
+  if (!msg.get_integer("generation_found", o.generation_found, error) ||
+      !msg.get_integer("generations_run", o.generations_run, error) ||
+      !msg.get_integer("migrations", o.migrations, error) ||
+      !msg.get_integer("best_island", o.best_island, error) ||
+      !msg.get_integer("best_gen", o.best_gen, error)) {
+    throw std::runtime_error("ifinish response: " + error);
+  }
   o.best_valid = msg.get_bool("best_valid").value_or(false);
   o.best_goal_fit = msg.get_number("best_goal_fit").value_or(0.0);
   o.best_fitness = msg.get_number("best_fitness").value_or(0.0);
@@ -62,7 +61,7 @@ ShardOutcome parse_shard_outcome(const WireMessage& msg) {
   if (!ops) throw std::runtime_error("ifinish response missing plan array");
   o.best_ops.reserve(ops->size());
   for (const double v : *ops) {
-    if (!std::isfinite(v) || v != std::floor(v)) {
+    if (!serve::wire_int_in_range(v)) {
       throw std::runtime_error("ifinish response has non-integer plan step");
     }
     o.best_ops.push_back(static_cast<int>(v));
@@ -186,15 +185,21 @@ std::string RouterService::handle_submit(const WireMessage& msg) {
       // spilling shed load to another worker would defeat shedding.
       return serve::render_wire_message(resp);
     }
-    const auto remote = resp.get_number("id");
-    if (!remote) return error_response("backend response missing id");
+    std::uint64_t remote = 0;
+    std::string id_error;
+    if (!resp.get_number("id")) {
+      return error_response("backend response missing id");
+    }
+    if (!resp.get_integer("id", remote, id_error)) {
+      return error_response("backend response: " + id_error);
+    }
     c_dispatched.inc();
     util::MutexLock lock(mu_);
     ++stats_.dispatched;
     const std::uint64_t id = next_id_++;
     Request r;
     r.backend = backend;
-    r.remote_id = static_cast<std::uint64_t>(*remote);
+    r.remote_id = remote;
     r.submit_line = line;
     r.fp = fp;
     r.key = key;
@@ -233,8 +238,10 @@ bool RouterService::resubmit(std::uint64_t id, std::string& error) {
       error = "backend rejected replay";
       return false;
     }
-    const auto remote = resp.get_number("id");
-    if (!remote) continue;
+    std::uint64_t remote = 0;
+    if (!resp.get_number("id") || !resp.get_integer("id", remote, rpc_error)) {
+      continue;
+    }
     c_retries.inc();
     util::MutexLock lock(mu_);
     ++stats_.retries;
@@ -244,7 +251,7 @@ bool RouterService::resubmit(std::uint64_t id, std::string& error) {
       return false;
     }
     it->second.backend = backend;
-    it->second.remote_id = static_cast<std::uint64_t>(*remote);
+    it->second.remote_id = remote;
     ++it->second.retries;
     return true;
   }
@@ -253,9 +260,10 @@ bool RouterService::resubmit(std::uint64_t id, std::string& error) {
 }
 
 std::string RouterService::handle_forward(const WireMessage& msg) {
-  const auto id_num = msg.get_number("id");
-  if (!id_num) return error_response("missing 'id'");
-  const std::uint64_t id = static_cast<std::uint64_t>(*id_num);
+  if (!msg.get_number("id")) return error_response("missing 'id'");
+  std::uint64_t id = 0;
+  std::string id_error;
+  if (!msg.get_integer("id", id, id_error)) return error_response(id_error);
   const std::string* cmd = msg.get_string("cmd");
 
   for (;;) {
@@ -381,15 +389,15 @@ std::string RouterService::handle_island(serve::PlanRequest req,
   static obs::Counter& c_island_runs = obs::counter("dist.island_runs");
   static obs::Counter& c_island_restarts =
       obs::counter("dist.island_restarts");
-  const std::size_t islands = static_cast<std::size_t>(
-      msg.get_number("islands").value_or(0));
-  if (islands == 0) return error_response("'islands' must be >= 1");
   ga::IslandConfig icfg;
-  icfg.islands = islands;
-  icfg.migration_interval = static_cast<std::size_t>(
-      msg.get_number("interval").value_or(icfg.migration_interval));
-  icfg.migrants = static_cast<std::size_t>(
-      msg.get_number("migrants").value_or(icfg.migrants));
+  icfg.islands = 0;
+  std::string field_error;
+  if (!msg.get_integer("islands", icfg.islands, field_error) ||
+      !msg.get_integer("interval", icfg.migration_interval, field_error) ||
+      !msg.get_integer("migrants", icfg.migrants, field_error)) {
+    return error_response(field_error);
+  }
+  if (icfg.islands == 0) return error_response("'islands' must be >= 1");
   const bool stop_on_valid = req.config.stop_on_valid;
 
   c_island_runs.inc();
@@ -512,8 +520,8 @@ std::string RouterService::handle_island(serve::PlanRequest req,
 
         // Ring migration: collect island i's elites from its owner, inject
         // them into island (i+1) mod K on *its* owner. All collects precede
-        // all injects (the coordinator is the barrier run_islands_lockstep
-        // gets for free in one process).
+        // all injects (the coordinator is the barrier ga::run_islands gets
+        // for free in one process).
         std::vector<std::string> frames(icfg.islands);
         for (std::size_t i = 0; i < icfg.islands; ++i) {
           JsonWriter w;

@@ -38,16 +38,17 @@ bool parse_plan_request(const WireMessage& msg, PlanRequest& req,
     return false;
   }
   req.problem = *spec;
-  if (const auto v = msg.get_number("pop"))
-    req.config.population_size = static_cast<std::size_t>(*v);
-  if (const auto v = msg.get_number("gens"))
-    req.config.generations = static_cast<std::size_t>(*v);
-  if (const auto v = msg.get_number("phases"))
-    req.config.phases = static_cast<std::size_t>(*v);
-  if (const auto v = msg.get_number("initlen"))
-    req.config.initial_length = static_cast<std::size_t>(*v);
-  if (const auto v = msg.get_number("maxlen"))
-    req.config.max_length = static_cast<std::size_t>(*v);
+  if (!msg.get_integer("pop", req.config.population_size, error) ||
+      !msg.get_integer("gens", req.config.generations, error) ||
+      !msg.get_integer("phases", req.config.phases, error) ||
+      !msg.get_integer("initlen", req.config.initial_length, error) ||
+      !msg.get_integer("maxlen", req.config.max_length, error) ||
+      !msg.get_integer("seed", req.seed, error) ||
+      !msg.get_integer("priority", req.priority, error) ||
+      !msg.get_integer("trace", req.trace, error) ||
+      !msg.get_integer("parent_span", req.parent_span, error)) {
+    return false;
+  }
   if (const auto v = msg.get_number("mutation")) req.config.mutation_rate = *v;
   if (const auto v = msg.get_number("crossover_rate"))
     req.config.crossover_rate = *v;
@@ -60,16 +61,8 @@ bool parse_plan_request(const WireMessage& msg, PlanRequest& req,
       return false;
     }
   }
-  if (const auto v = msg.get_number("seed"))
-    req.seed = static_cast<std::uint64_t>(*v);
-  if (const auto v = msg.get_number("priority"))
-    req.priority = static_cast<int>(*v);
   if (const auto v = msg.get_number("deadline_ms")) req.deadline_ms = *v;
   if (const std::string* s = msg.get_string("client")) req.client = *s;
-  if (const auto v = msg.get_number("trace"))
-    req.trace = static_cast<std::uint64_t>(*v);
-  if (const auto v = msg.get_number("parent_span"))
-    req.parent_span = static_cast<std::uint64_t>(*v);
   return true;
 }
 

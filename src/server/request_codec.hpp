@@ -26,8 +26,10 @@ const char* crossover_name(ga::CrossoverKind kind) noexcept;
 /// Fills `req` from a submit frame (problem spec, GA overrides, seed,
 /// priority, deadline, client tag, and the distribution layer's trace /
 /// parent_span propagation fields). Returns false with a client-facing
-/// `error` on a missing/bad problem spec or an unknown crossover name;
-/// absent keys leave the corresponding field at its default.
+/// `error` on a missing/bad problem spec, an unknown crossover name, or an
+/// integer field that is fractional or out of range (WireMessage::
+/// get_integer; the error names the field); absent keys leave the
+/// corresponding field at its default.
 bool parse_plan_request(const WireMessage& msg, PlanRequest& req,
                         std::string& error);
 

@@ -270,6 +270,14 @@ JsonWriter& JsonWriter::field(std::string_view key, std::string_view value) {
   return *this;
 }
 
+std::string wire_integer_error(const std::string& key, double value,
+                               std::int64_t lo, std::int64_t hi) {
+  char tmp[32];
+  const auto res = std::to_chars(tmp, tmp + sizeof(tmp), value);
+  return "'" + key + "' must be an integer in [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "], got " + std::string(tmp, res.ptr);
+}
+
 JsonWriter& JsonWriter::field(std::string_view key, double value) {
   key_(key);
   if (!std::isfinite(value)) {

@@ -16,11 +16,16 @@
 // position-annotated error the front end echoes back to the client.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace gaplan::serve {
@@ -29,6 +34,25 @@ namespace gaplan::serve {
 /// the TCP front end drops clients whose unterminated line grows past it, so
 /// a hostile peer cannot make the service buffer unbounded input.
 inline constexpr std::size_t kMaxWireFrameBytes = 64 * 1024;
+
+/// Largest integer a wire number carries exactly. Numbers are parsed as
+/// doubles, and 2^53 + 1 already parses to 2^53, so the trusted range stops
+/// one short of 2^53: larger 64-bit ids are rejected rather than rounded.
+inline constexpr std::int64_t kMaxExactWireInteger =
+    (std::int64_t{1} << 53) - 1;
+
+/// Whether a wire number (e.g. a plan-array step) is an integral value an
+/// int holds exactly — the check before converting it.
+inline bool wire_int_in_range(double v) {
+  return v == std::floor(v) &&
+         v >= static_cast<double>(std::numeric_limits<int>::min()) &&
+         v <= static_cast<double>(std::numeric_limits<int>::max());
+}
+
+/// The diagnostic get_integer reports: names the field, the accepted range
+/// and the value received.
+std::string wire_integer_error(const std::string& key, double value,
+                               std::int64_t lo, std::int64_t hi);
 
 /// One parsed wire line: flat key -> typed value maps. Key collisions keep
 /// the last value, like most JSON parsers.
@@ -55,6 +79,43 @@ struct WireMessage {
   const std::vector<double>* get_array(const std::string& key) const {
     const auto it = arrays.find(key);
     return it == arrays.end() ? nullptr : &it->second;
+  }
+
+  /// Reads integer field `key` into `out`, which keeps its value when the
+  /// key is absent. A present value must be integral and within [lo, hi]
+  /// (by default T's range, clipped to ±kMaxExactWireInteger); otherwise
+  /// returns false with an `error` naming the field, and `out` is untouched.
+  template <std::integral T>
+  bool get_integer(const std::string& key, T& out, std::string& error,
+                   std::int64_t lo = min_exact<T>(),
+                   std::int64_t hi = max_exact<T>()) const {
+    const auto it = numbers.find(key);
+    if (it == numbers.end()) return true;
+    const double v = it->second;
+    // NaN fails the first test; the bounds are exact doubles (|x| < 2^53).
+    if (!(v == std::floor(v)) || v < static_cast<double>(lo) ||
+        v > static_cast<double>(hi)) {
+      error = wire_integer_error(key, v, lo, hi);
+      return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+  }
+
+ private:
+  template <typename T>
+  static constexpr std::int64_t min_exact() {
+    if constexpr (std::is_unsigned_v<T>) {
+      return 0;
+    } else {
+      return std::max<std::int64_t>(std::numeric_limits<T>::min(),
+                                    -kMaxExactWireInteger);
+    }
+  }
+  template <typename T>
+  static constexpr std::int64_t max_exact() {
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(), kMaxExactWireInteger));
   }
 };
 

@@ -36,7 +36,7 @@ TEST(Crowding, PopulationSizeConserved) {
   for (int g = 0; g < 10; ++g) {
     runner.step_evaluate();
     runner.step_reproduce(rng);
-    EXPECT_EQ(runner.population().size(), cfg.population_size);
+    EXPECT_EQ(runner.population().slots(), cfg.population_size);
   }
 }
 
@@ -78,7 +78,8 @@ TEST(Crowding, MaintainsMoreGenomeLengthDiversity) {
       if (g + 1 < cfg.generations) runner.step_reproduce(rng);
     }
     std::unordered_set<std::size_t> lengths;
-    for (const auto& ind : runner.population()) lengths.insert(ind.genes.size());
+    const auto& pop = runner.population();
+    for (std::size_t i = 0; i < pop.slots(); ++i) lengths.insert(pop.len(i));
     return lengths.size();
   };
   EXPECT_GT(length_spread(ga::ReplacementKind::kCrowding),

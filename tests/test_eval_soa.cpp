@@ -1,239 +1,101 @@
-// Struct-of-arrays layout parity: a run with the pooled genome pool (batched
-// kernel decode on SimdDecodable domains, lane-spliced reproduction) must be
-// indistinguishable — same random draws, same populations, same per-generation
-// stats, same evaluation counts — from the scalar vector-of-Individuals
-// engine. This is the contract that lets EvalLayout::kAuto flip layouts for
-// throughput without touching trajectories (ISSUE 7 acceptance criterion).
+// Struct-of-arrays runner against golden trajectories: each directed case
+// below replays a fixture recorded by the former vector-of-Individuals phase
+// runner (tests/data/golden/, written by tests/golden/record_golden.cpp) and
+// requires it byte for byte — same random draws, same per-generation stats,
+// same best-of-phase genomes, same evaluation spend — plus a cold
+// evaluate_into of every reported best genome equal to the evaluation the
+// runner reported for it. Together they pin the batched SIMD-kernel decode,
+// the per-slot decode and lane-spliced reproduction to one reference.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <string>
 
-#include "core/engine.hpp"
-#include "core/island.hpp"
-#include "core/multiphase.hpp"
+#include "core/problem.hpp"
 #include "domains/hanoi.hpp"
-#include "domains/hanoi_strips.hpp"
 #include "domains/pocket_cube.hpp"
 #include "domains/sliding_tile.hpp"
-#include "obs/metrics.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "golden/cases.hpp"
 
 namespace {
 
 using namespace gaplan;
 
-std::uint64_t evaluations_total() {
-  const auto snap = obs::snapshot_metrics();
-  const auto* c = snap.find_counter("ga.evaluations");
-  return c == nullptr ? 0 : c->value;
-}
-
-template <typename State>
-void expect_same_phase(const ga::PhaseResult<State>& a,
-                       const ga::PhaseResult<State>& b) {
-  EXPECT_EQ(a.found_valid, b.found_valid);
-  EXPECT_EQ(a.generation_found, b.generation_found);
-  EXPECT_EQ(a.generations_run, b.generations_run);
-  EXPECT_EQ(a.best.genes, b.best.genes);
-  EXPECT_EQ(a.best.eval.ops, b.best.eval.ops);
-  EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
-  EXPECT_EQ(a.best.eval.plan_cost, b.best.eval.plan_cost);
-  EXPECT_EQ(a.best.eval.valid, b.best.eval.valid);
-  EXPECT_EQ(a.best.eval.goal_index, b.best.eval.goal_index);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t g = 0; g < a.history.size(); ++g) {
-    EXPECT_EQ(a.history[g].mean_fitness, b.history[g].mean_fitness) << "gen " << g;
-    EXPECT_EQ(a.history[g].best_fitness, b.history[g].best_fitness) << "gen " << g;
-    EXPECT_EQ(a.history[g].mean_length, b.history[g].mean_length) << "gen " << g;
-    EXPECT_EQ(a.history[g].valid_count, b.history[g].valid_count) << "gen " << g;
+void expect_golden(std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    for (const auto& failure :
+         golden::check_case(GAPLAN_TEST_DATA_DIR "/golden", name)) {
+      ADD_FAILURE() << name << ": " << failure;
+    }
   }
 }
 
-/// Runs the same phase twice — scalar layout vs pooled layout, same seed —
-/// and requires bit-identical trajectories plus identical ga.evaluations
-/// spend (the pooled path may not decode more, or fewer, individuals).
-template <typename P>
-void expect_layout_parity(const P& problem, const ga::GaConfig& base,
-                          std::uint64_t seed, util::ThreadPool* pool) {
-  ga::GaConfig scalar = base;
-  scalar.eval_layout = ga::EvalLayout::kScalar;
-  ga::GaConfig pooled = base;
-  pooled.eval_layout = ga::EvalLayout::kPooled;
-
-  ga::Engine<P> e_scalar(problem, scalar, pool);
-  ga::Engine<P> e_pooled(problem, pooled, pool);
-  util::Rng r1(seed), r2(seed);
-  const std::uint64_t n0 = evaluations_total();
-  const auto a = e_scalar.run_phase(problem.initial_state(), r1, base.stop_on_valid);
-  const std::uint64_t n1 = evaluations_total();
-  const auto b = e_pooled.run_phase(problem.initial_state(), r2, base.stop_on_valid);
-  const std::uint64_t n2 = evaluations_total();
-  expect_same_phase(a, b);
-  EXPECT_EQ(n1 - n0, n2 - n1) << "layouts disagree on evaluation count";
-}
-
-ga::GaConfig small_config() {
-  ga::GaConfig cfg;
-  cfg.population_size = 24;
-  cfg.generations = 12;
-  cfg.initial_length = 16;
-  cfg.max_length = 80;
-  cfg.stop_on_valid = false;
-  cfg.eval_checkpoint_stride = 8;
-  return cfg;
-}
-
-// ---------------------------------------------------------------------------
-// Directed cases: each knob that alters the reproduction/evaluation path.
-// ---------------------------------------------------------------------------
-
 TEST(SoaLayoutParity, HanoiKernelBaseline) {
-  const domains::Hanoi h(6);
   static_assert(ga::SimdDecodable<domains::Hanoi>);
-  expect_layout_parity(h, small_config(), 211, nullptr);
+  expect_golden({"kernel_hanoi6_random", "hanoi_generational"});
 }
 
 TEST(SoaLayoutParity, HanoiElitesMixedCrossover) {
-  const domains::Hanoi h(5);
-  auto cfg = small_config();
-  cfg.crossover = ga::CrossoverKind::kMixed;
-  cfg.elite_count = 3;
-  expect_layout_parity(h, cfg, 223, nullptr);
+  expect_golden({"hanoi_elitism"});
 }
 
 TEST(SoaLayoutParity, HanoiSeededRouletteNoTruncate) {
-  const domains::Hanoi h(5);
-  auto cfg = small_config();
-  cfg.seed_fraction = 0.4;
-  cfg.selection = ga::SelectionKind::kRoulette;
-  cfg.truncate_at_goal = false;
-  expect_layout_parity(h, cfg, 227, nullptr);
+  expect_golden({"hanoi_seeded", "hanoi_roulette", "hanoi_no_truncate",
+                 "kernel_hanoi_exact_state"});
 }
 
 TEST(SoaLayoutParity, SlidingTileKernel) {
   static_assert(ga::SimdDecodable<domains::SlidingTile>);
-  util::Rng scramble(7);
-  const domains::SlidingTile base(3);
-  const domains::SlidingTile t(3, base.scrambled(30, scramble));
-  auto cfg = small_config();
-  cfg.crossover = ga::CrossoverKind::kStateAware;
-  expect_layout_parity(t, cfg, 229, nullptr);
+  expect_golden({"kernel_tiles_state_aware"});
 }
 
 TEST(SoaLayoutParity, PocketCubeKernel) {
   static_assert(ga::SimdDecodable<domains::PocketCube>);
-  domains::PocketCube cube;
-  util::Rng scramble(5);
-  cube.set_initial(cube.scrambled(6, scramble));
-  auto cfg = small_config();
-  cfg.crossover = ga::CrossoverKind::kUniform;
-  expect_layout_parity(cube, cfg, 233, nullptr);
+  expect_golden({"kernel_cube_uniform"});
 }
 
 TEST(SoaLayoutParity, KernellessDomainGenericPooledPath) {
-  // strips has no simd_kernel(): forcing kPooled exercises the pooled
-  // layout's scalar (evaluate_resume) fallback over lane spans.
-  const auto enc = domains::build_hanoi_strips(3);
-  const auto problem = enc.problem();
+  // Kernel-less domains decode slot by slot (evaluate_resume over lanes).
   static_assert(!ga::SimdDecodable<strips::Problem>);
-  auto cfg = small_config();
-  cfg.generations = 8;
-  expect_layout_parity(problem, cfg, 239, nullptr);
+  expect_golden({"strips_hanoi_generational", "sokoban_generational",
+                 "navigation_generational", "blocks_generational",
+                 "workflow_generational"});
 }
 
 TEST(SoaLayoutParity, ColdEvalAndBatchWidthOne) {
-  const domains::Hanoi h(5);
-  auto cfg = small_config();
-  cfg.incremental_eval = false;
-  cfg.eval_batch_width = 1;
-  expect_layout_parity(h, cfg, 241, nullptr);
+  expect_golden({"kernel_hanoi_cold_width1"});
 }
 
 TEST(SoaLayoutParity, ThreadPoolLanes) {
   // Threaded batches: chunk boundaries from grain_for must not perturb
   // trajectories, and lane splicing must be race-free (TSan lane runs this).
-  const domains::Hanoi h(6);
-  util::ThreadPool pool(4);
-  auto cfg = small_config();
-  cfg.eval_batch_width = 4;
-  expect_layout_parity(h, cfg, 251, &pool);
+  expect_golden({"kernel_hanoi6_pool4_width4", "hanoi_pool4",
+                 "sokoban_pool4"});
 }
 
 TEST(SoaLayoutParity, StopOnValidSameGeneration) {
-  const domains::Hanoi h(4);
-  auto cfg = small_config();
-  cfg.generations = 60;
-  cfg.stop_on_valid = true;
-  expect_layout_parity(h, cfg, 257, nullptr);
+  expect_golden({"kernel_hanoi4_stop_on_valid"});
 }
 
-TEST(SoaLayoutParity, AutoSelectsPooledOnKernelDomains) {
-  // kAuto must equal kPooled bit-for-bit on a kernel domain (it IS the pooled
-  // path) and kScalar on kernel-less ones; spot-check the former.
-  const domains::Hanoi h(5);
-  auto base = small_config();
-  ga::GaConfig autoc = base;
-  autoc.eval_layout = ga::EvalLayout::kAuto;
-  ga::GaConfig pooled = base;
-  pooled.eval_layout = ga::EvalLayout::kPooled;
-  ga::Engine<domains::Hanoi> e_auto(h, autoc);
-  ga::Engine<domains::Hanoi> e_pooled(h, pooled);
-  util::Rng r1(263), r2(263);
-  const auto a = e_auto.run_phase(h.initial_state(), r1, false);
-  const auto b = e_pooled.run_phase(h.initial_state(), r2, false);
-  expect_same_phase(a, b);
+TEST(SoaLayoutParity, KernelDomainCrowdingAndDirectEncoding) {
+  // On a kernel domain, crowding evaluates children in place (per slot) and
+  // the direct encoding bypasses the kernel; both follow the fixtures.
+  expect_golden({"hanoi_crowding", "kernel_hanoi_crowding_cold",
+                 "hanoi_direct", "hanoi_direct_crowding"});
 }
 
 TEST(SoaLayoutParity, MultiphaseAcrossPhases) {
-  // The pooled runner persists inside one Engine across phases; phase
-  // boundaries (new start state, re-init) must not leak state between runs.
-  const domains::Hanoi h(6);
-  auto cfg = small_config();
-  cfg.phases = 3;
-  cfg.generations = 8;
-  ga::GaConfig scalar = cfg;
-  scalar.eval_layout = ga::EvalLayout::kScalar;
-  ga::GaConfig pooled = cfg;
-  pooled.eval_layout = ga::EvalLayout::kPooled;
-  util::Rng r1(269), r2(269);
-  const auto a = ga::run_multiphase(h, scalar, r1);
-  const auto b = ga::run_multiphase(h, pooled, r2);
-  EXPECT_EQ(a.valid, b.valid);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.goal_fitness, b.goal_fitness);
-  EXPECT_EQ(a.phases_run, b.phases_run);
-  EXPECT_EQ(a.generations_total, b.generations_total);
+  // The runner persists inside one Engine across phases; phase boundaries
+  // (new start state, re-init) must not leak state between runs.
+  expect_golden({"multiphase_hanoi6", "multiphase_sokoban"});
 }
 
 TEST(SoaLayoutParity, IslandsWithMigration) {
-  const domains::Hanoi h(6);
-  auto cfg = small_config();
-  cfg.generations = 20;
-  ga::IslandConfig icfg;
-  icfg.islands = 3;
-  icfg.migration_interval = 5;
-  icfg.migrants = 2;
-  ga::GaConfig scalar = cfg;
-  scalar.eval_layout = ga::EvalLayout::kScalar;
-  ga::GaConfig pooled = cfg;
-  pooled.eval_layout = ga::EvalLayout::kPooled;
-  util::Rng r1(271), r2(271);
-  const auto a = ga::run_islands(h, scalar, icfg, r1);
-  const auto b = ga::run_islands(h, pooled, icfg, r2);
-  EXPECT_EQ(a.found_valid, b.found_valid);
-  EXPECT_EQ(a.generation_found, b.generation_found);
-  EXPECT_EQ(a.generations_run, b.generations_run);
-  EXPECT_EQ(a.best_island, b.best_island);
-  EXPECT_EQ(a.best.genes, b.best.genes);
-  EXPECT_EQ(a.best.eval.ops, b.best.eval.ops);
-  EXPECT_EQ(a.best.eval.fitness, b.best.eval.fitness);
+  expect_golden({"islands_hanoi6", "islands_navigation",
+                 "islands_blocks_crowding"});
 }
 
-// The randomized domain/config sweep that used to live here moved onto the
-// property substrate: see PropEngine.PooledLayoutMatchesScalarLayout in
-// test_prop_engine.cpp, which draws random domains and validated configs with
-// shrinking and GAPLAN_PROP_SEED replay.
+// The randomized domain/config sweep lives on the property substrate: see
+// PropEngine.ReportedGenomesMatchColdEvaluation in test_prop_engine.cpp.
 
 }  // namespace

@@ -132,10 +132,11 @@ TEST(Seeding, SeededGenomesDecodeToGreedyChoices) {
   runner.init(h.initial_state(), rng);
   runner.step_evaluate();
   // Every fully-greedy individual applies the locally-best move each step.
-  for (const auto& ind : runner.population()) {
+  const auto& pop = runner.population();
+  for (std::size_t i = 0; i < pop.slots(); ++i) {
     auto s = h.initial_state();
     std::vector<int> ops;
-    for (const int op : ind.eval.ops) {
+    for (const int op : pop.eval(i).ops) {
       h.valid_ops(s, ops);
       double best = -1.0;
       int best_op = ops.front();

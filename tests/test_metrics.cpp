@@ -14,7 +14,7 @@
 
 #include "core/engine.hpp"
 #include "domains/hanoi.hpp"
-#include "domains/pocket_cube.hpp"
+#include "domains/navigation.hpp"
 #include "obs/report.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -173,28 +173,26 @@ TEST(Metrics, EvalCountersAppearInExport) {
   // are registered, populated, and present in the GAPLAN_METRICS JSON export.
   namespace ga = gaplan::ga;
   namespace domains = gaplan::domains;
-  domains::PocketCube cube;
-  gaplan::util::Rng scramble(5);
-  cube.set_initial(cube.scrambled(8, scramble));
+  // A kernel-less domain: SIMD-kernel domains decode through their LUT and
+  // never probe the ops cache whose counters this test is about.
+  const domains::Navigation nav(6, 6, {8, 14, 20, 21, 27}, {0, 5}, {35, 30});
+  static_assert(!ga::SimdDecodable<domains::Navigation>);
   ga::GaConfig cfg;
   cfg.population_size = 30;
   cfg.generations = 12;
   cfg.initial_length = 16;
   cfg.max_length = 64;
   cfg.stop_on_valid = false;
-  // Pin the scalar layout: under kAuto the cube's SIMD kernel takes over and
-  // the ops cache (whose counters this test is about) is never probed.
-  cfg.eval_layout = ga::EvalLayout::kScalar;
-  ga::Engine<domains::PocketCube> engine(cube, cfg);
+  ga::Engine<domains::Navigation> engine(nav, cfg);
   gaplan::util::Rng rng(17);
-  engine.run_phase(cube.initial_state(), rng, false);
+  engine.run_phase(nav.initial_state(), rng, false);
 
   const auto snap = obs::snapshot_metrics();
   for (const char* name : {"eval.cache_hits", "eval.cache_misses",
                            "eval.resume_genes_skipped", "eval.ops_decoded"}) {
     ASSERT_NE(snap.find_counter(name), nullptr) << name;
   }
-  // PocketCube opts into the cache and every state repeats across the
+  // Navigation opts into the cache and every state repeats across the
   // population, so hits must actually accrue — as must resumed genes.
   EXPECT_GT(counter_value("eval.cache_hits"), 0u);
   EXPECT_GT(counter_value("eval.resume_genes_skipped"), 0u);
@@ -208,7 +206,7 @@ TEST(Metrics, EvalCountersAppearInExport) {
 
 TEST(Metrics, PooledEvalCountersAppearInExport) {
   // The struct-of-arrays batch evaluator must surface its work: after a
-  // pooled run on a SIMD-kernel domain, the batch counters are registered,
+  // run on a SIMD-kernel domain, the batch counters are registered,
   // populated, and exported to Prometheus.
   namespace ga = gaplan::ga;
   namespace domains = gaplan::domains;
@@ -219,7 +217,6 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
   cfg.initial_length = 16;
   cfg.max_length = 64;
   cfg.stop_on_valid = false;
-  cfg.eval_layout = ga::EvalLayout::kPooled;
   cfg.eval_batch_width = 8;
   ga::Engine<domains::Hanoi> engine(h, cfg);
   gaplan::util::Rng rng(23);

@@ -336,12 +336,16 @@ TEST(PropCore, StateAwareCrossoverPreservesSuffixTrajectories) {
 
           util::Rng rng(c.cut_seed);
           ga::CrossoverScratch scr;
-          Genome child1, child2;
+          ga::CrossoverStats stats;
+          Genome child1 = c.a, child2 = c.b;
           std::size_t c1 = ga::kCleanGenome, c2 = ga::kCleanGenome;
           const std::size_t cap = c.a.size() + c.b.size();
-          const bool done = ga::crossover_state_aware_into(
-              c.a, ev_a.state_hashes, c.b, ev_b.state_hashes, cap, rng, scr,
-              child1, child2, c1, c2);
+          ga::GaConfig cfg;
+          cfg.crossover = ga::CrossoverKind::kStateAware;
+          cfg.max_length = cap;
+          const bool done = ga::crossover_genomes(
+              cfg, child1, ev_a.state_hashes, child2, ev_b.state_hashes, rng,
+              stats, scr, c1, c2);
           if (!done) return;  // no matching states: vacuously true
 
           ASSERT_EQ(child1.size(),

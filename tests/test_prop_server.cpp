@@ -5,6 +5,7 @@
 // serve ≡ direct-run bit-identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "server/plan_cache.hpp"
 #include "server/plan_service.hpp"
 #include "server/problem_spec.hpp"
+#include "server/request_codec.hpp"
 #include "server/server_config.hpp"
 #include "server/wire.hpp"
 #include "util/rng.hpp"
@@ -158,6 +160,93 @@ PlanRequest request_of(const FingerprintCase& c) {
   return req;
 }
 
+// ---------------------------------------------------------------------------
+// Invariant: every in-range wire integer round-trips — a PlanRequest whose
+// integer fields lie anywhere in their exact wire range (see
+// kMaxExactWireInteger) renders and parses back to the same values.
+// ---------------------------------------------------------------------------
+
+struct IntegerFieldsCase {
+  std::vector<std::uint64_t> sizes;  ///< pop, gens, phases, initlen, maxlen
+  std::uint64_t seed = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t parent_span = 0;
+  int priority = 0;
+};
+
+/// An integer in [lo, hi], biased toward the bounds and small values.
+std::int64_t boundary_biased(util::Rng& rng, std::int64_t lo, std::int64_t hi) {
+  switch (rng.below(5)) {
+    case 0: return lo;
+    case 1: return hi;
+    case 2: return std::clamp<std::int64_t>(rng.range(-5, 5), lo, hi);
+    default: return rng.range(lo, hi);
+  }
+}
+
+prop::Gen<IntegerFieldsCase> integer_fields_case() {
+  prop::Gen<IntegerFieldsCase> g;
+  g.sample = [](util::Rng& rng) {
+    const std::int64_t hi = kMaxExactWireInteger;
+    IntegerFieldsCase c;
+    for (int i = 0; i < 5; ++i) {
+      c.sizes.push_back(
+          static_cast<std::uint64_t>(boundary_biased(rng, 0, hi)));
+    }
+    c.seed = static_cast<std::uint64_t>(boundary_biased(rng, 0, hi));
+    c.trace = static_cast<std::uint64_t>(boundary_biased(rng, 0, hi));
+    c.parent_span = static_cast<std::uint64_t>(boundary_biased(rng, 0, hi));
+    c.priority = static_cast<int>(
+        boundary_biased(rng, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max()));
+    return c;
+  };
+  g.show = [](const IntegerFieldsCase& c) {
+    std::string s = "sizes:";
+    for (const auto v : c.sizes) s += " " + std::to_string(v);
+    return s + " seed=" + std::to_string(c.seed) +
+           " trace=" + std::to_string(c.trace) +
+           " parent_span=" + std::to_string(c.parent_span) +
+           " priority=" + std::to_string(c.priority);
+  };
+  return g;
+}
+
+TEST(PropServer, InRangeWireIntegersRoundTrip) {
+  prop::check(
+      "wire_integers_roundtrip", integer_fields_case(),
+      [](const IntegerFieldsCase& c) {
+        std::string err;
+        PlanRequest req;
+        req.problem = *ProblemSpec::parse("hanoi:3", err);
+        req.config.population_size = c.sizes[0];
+        req.config.generations = c.sizes[1];
+        req.config.phases = c.sizes[2];
+        req.config.initial_length = c.sizes[3];
+        req.config.max_length = c.sizes[4];
+        req.seed = c.seed;
+        req.trace = c.trace;
+        req.parent_span = c.parent_span;
+        req.priority = c.priority;
+
+        const std::string line = render_submit_line(req);
+        WireMessage msg;
+        ASSERT_TRUE(parse_wire_message(line, msg, err)) << err;
+        PlanRequest back;
+        ASSERT_TRUE(parse_plan_request(msg, back, err)) << err << "\n" << line;
+        EXPECT_EQ(back.config.population_size, req.config.population_size);
+        EXPECT_EQ(back.config.generations, req.config.generations);
+        EXPECT_EQ(back.config.phases, req.config.phases);
+        EXPECT_EQ(back.config.initial_length, req.config.initial_length);
+        EXPECT_EQ(back.config.max_length, req.config.max_length);
+        EXPECT_EQ(back.seed, req.seed);
+        EXPECT_EQ(back.trace, req.trace);
+        EXPECT_EQ(back.parent_span, req.parent_span);
+        EXPECT_EQ(back.priority, req.priority);
+      },
+      {.iterations = 200});
+}
+
 TEST(PropServer, FingerprintIsStableAndDiscriminating) {
   prop::check(
       "fingerprint_stability", fingerprint_case(),
@@ -184,13 +273,10 @@ TEST(PropServer, FingerprintIsStableAndDiscriminating) {
           EXPECT_NE(PlanService::fingerprint(r), fp) << "mutation_rate ignored";
         }
 
-        // Execution-strategy knobs must NOT change it: layout parity
-        // guarantees the answer is bit-identical, so they share a cache slot.
+        // Execution-strategy knobs must NOT change it: evaluation is
+        // bit-identical either way, so they share a cache slot.
         {
           PlanRequest r = req;
-          r.config.eval_layout = r.config.eval_layout == ga::EvalLayout::kScalar
-                                     ? ga::EvalLayout::kPooled
-                                     : ga::EvalLayout::kScalar;
           r.config.incremental_eval = !r.config.incremental_eval;
           r.config.eval_batch_width = r.config.eval_batch_width == 1 ? 8 : 1;
           EXPECT_EQ(PlanService::fingerprint(r), fp)
