@@ -2,6 +2,8 @@
 // domains and operator settings (TEST_P sweeps).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/engine.hpp"
 #include "core/island.hpp"
 #include "domains/hanoi.hpp"
@@ -79,6 +81,10 @@ struct StatCase {
   ga::ReplacementKind replacement;
   ga::EncodingKind encoding;
 };
+
+// Print a case by its name: gtest's default dumps the struct's bytes, which
+// include the address of `name` and so change from one process to the next.
+void PrintTo(const StatCase& c, std::ostream* os) { *os << c.name; }
 
 class GenerationStatInvariants : public ::testing::TestWithParam<StatCase> {};
 

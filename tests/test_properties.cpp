@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/crossover.hpp"
 #include "core/decoder.hpp"
@@ -78,6 +79,10 @@ struct GaSolvesCase {
   int size;
   std::uint64_t seed;
 };
+
+// Print a case by its name: gtest's default dumps the struct's bytes, which
+// include the address of `name` and so change from one process to the next.
+void PrintTo(const GaSolvesCase& c, std::ostream* os) { *os << c.name; }
 
 class GaValidityIsSound : public ::testing::TestWithParam<GaSolvesCase> {};
 
