@@ -33,7 +33,7 @@
 // cross_worker, failover.
 #include "dist/net.hpp"
 
-#ifndef GAPLAN_DIST_NET
+#ifndef GAPLAN_TCP
 #include <cstdio>
 int main() {
   std::fprintf(stderr, "bench_dist: unsupported on this platform\n");
@@ -609,4 +609,4 @@ int main(int argc, char** argv) {
   return 0;
 }
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

@@ -14,9 +14,9 @@
 // exit 2, warnings print and continue. --tcp 0 binds an ephemeral port,
 // printed as "gaplan_router: listening on 127.0.0.1:<port>".
 
-#include "dist/net.hpp"
+#include "server/line_server.hpp"
 
-#ifndef GAPLAN_DIST_NET
+#ifndef GAPLAN_TCP
 #include <cstdio>
 int main() {
   std::fprintf(stderr, "gaplan_router: unsupported on this platform\n");
@@ -26,7 +26,6 @@ int main() {
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -77,7 +76,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      tcp_port = std::atoi(v);
+      if (!gaplan::serve::parse_tcp_port(v, tcp_port)) {
+        std::fprintf(stderr, "gaplan_router: bad value '%s' for --tcp\n", v);
+        return 2;
+      }
     } else {
       return usage(argv[0]);
     }
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
   gaplan::dist::RouterService router(cfg);
   router.start();
 
-  gaplan::dist::TcpLineServer server(
+  gaplan::serve::TcpLineServer server(
       [&router](const std::string& line, bool& close_after) {
         return router.handle_line(line, close_after);
       });
@@ -115,4 +117,4 @@ int main(int argc, char** argv) {
   return 0;
 }
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

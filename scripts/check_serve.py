@@ -19,15 +19,25 @@ The session runs with GAPLAN_TRACE pointing at a temporary journal, which is
 then validated through check_trace.py (required ev: server) plus an op-coverage
 check (submit, complete, cancel, and shutdown must all appear).
 
+A second process runs with --tcp PORT and is driven over the socket:
+
+  * a submit/wait session,
+  * clients that pipeline metrics frames and reset the connection (SO_LINGER
+    0) before reading the answers; the server must survive writing into the
+    dead socket and still answer stats, then shut down cleanly.
+
 Exit status: 0 when the session and the journal are clean, 1 otherwise.
 """
 import argparse
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
+import time
 
 import check_trace
 
@@ -146,6 +156,107 @@ def run_session(argv, journal):
     return s.errors
 
 
+def free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def start_tcp_server(argv):
+    """gaplan_serve --tcp on a free port; retries when the port was taken."""
+    for _ in range(8):
+        port = free_port()
+        proc = subprocess.Popen(argv + ["--tcp", str(port)],
+                                stdin=subprocess.PIPE,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        banner = proc.stderr.readline().strip()
+        if banner == f"gaplan_serve: listening on 127.0.0.1:{port}":
+            return proc, port
+        proc.kill()
+        proc.wait()
+    return None, None
+
+
+class TcpSession(Session):
+    """The same conversation over one TCP connection."""
+
+    def __init__(self, port):
+        super().__init__(None)
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+        self.stream = self.sock.makefile("rw", encoding="utf-8", newline="\n")
+
+    def rpc(self, obj, tag):
+        try:
+            self.stream.write(json.dumps(obj) + "\n")
+            self.stream.flush()
+            raw = self.stream.readline()
+        except OSError as err:
+            self.errors.append(f"{tag}: socket error: {err}")
+            return None
+        if not raw:
+            self.errors.append(f"{tag}: server closed the connection")
+            return None
+        return json.loads(raw)
+
+    def close(self):
+        self.stream.close()
+        self.sock.close()
+
+
+def reset_after_pipelining(port, frames=50):
+    """Pipelines `frames` metrics requests and resets without reading."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(b'{"cmd":"metrics"}\n' * frames)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+
+
+def run_tcp_session(argv):
+    proc, port = start_tcp_server(argv)
+    if proc is None:
+        return ["tcp: gaplan_serve could not listen on any port"]
+    errors = []
+    try:
+        s = TcpSession(port)
+        sub = s.expect(
+            s.rpc({"cmd": "submit", "problem": "hanoi:3", "pop": 60,
+                   "gens": 30, "phases": 10, "seed": 2}, "tcp submit"),
+            "tcp submit", ok=True, id=1)
+        if sub:
+            s.expect(s.rpc({"cmd": "wait", "id": 1}, "tcp wait"), "tcp wait",
+                     ok=True, state="done", valid=True)
+        s.close()
+        errors.extend(s.errors)
+
+        for _ in range(3):
+            reset_after_pipelining(port)
+        time.sleep(0.5)  # let the server write into the reset sockets
+        if proc.poll() is not None:
+            errors.append(f"tcp: gaplan_serve died (exit {proc.returncode}) "
+                          "after a client reset mid-response")
+            return errors
+        s = TcpSession(port)
+        s.expect(s.rpc({"cmd": "stats"}, "tcp stats after reset"),
+                 "tcp stats after reset", ok=True)
+        s.expect(s.rpc({"cmd": "shutdown"}, "tcp shutdown"), "tcp shutdown",
+                 ok=True, state="shutting-down")
+        s.close()
+        errors.extend(s.errors)
+    except OSError as err:
+        errors.append(f"tcp: {err}")
+    finally:
+        proc.stdin.close()  # the stdin loop ends at EOF
+        try:
+            rc = proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            rc = proc.wait()
+    if rc != 0:
+        errors.append(f"tcp: gaplan_serve exited {rc}")
+    return errors
+
+
 def check_journal(journal):
     errors = check_trace.validate(journal, ["server"])
     ops = set()
@@ -188,11 +299,13 @@ def main():
         journal = os.path.join(tmp, "journal.jsonl")
         errors = run_session(args.exec_argv, journal)
         errors.extend(check_journal(journal))
+    errors.extend(run_tcp_session(args.exec_argv))
 
     for err in errors:
         print(f"check_serve: {err}", file=sys.stderr)
     if not errors:
-        print("check_serve: OK — session, cache hit, cancel, and journal clean")
+        print("check_serve: OK — session, cache hit, cancel, journal, and TCP "
+              "leg clean")
     sys.exit(1 if errors else 0)
 
 

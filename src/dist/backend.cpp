@@ -1,6 +1,6 @@
 #include "dist/backend.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <algorithm>
 #include <chrono>
@@ -277,4 +277,4 @@ std::vector<BackendPool::BackendState> BackendPool::snapshot() const {
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

@@ -18,7 +18,7 @@
 
 #include "dist/net.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <cstdint>
 #include <string>
@@ -109,4 +109,4 @@ class BackendPool {
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

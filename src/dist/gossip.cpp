@@ -1,6 +1,6 @@
 #include "dist/gossip.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <algorithm>
 
@@ -128,4 +128,4 @@ void GossipSender::sender_main() {
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

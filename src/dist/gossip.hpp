@@ -16,7 +16,7 @@
 
 #include "dist/net.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <cstdint>
 #include <deque>
@@ -91,4 +91,4 @@ class GossipSender {
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

@@ -1,15 +1,12 @@
 #include "dist/net.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <csignal>
-#include <cstring>
 
 #include "server/wire.hpp"
 
@@ -101,106 +98,6 @@ bool Conn::roundtrip(const std::string& line, std::string& response) {
   return send_line(line) && recv_line(response);
 }
 
-TcpLineServer::TcpLineServer(LineHandler handler)
-    : handler_(std::move(handler)) {}
-
-TcpLineServer::~TcpLineServer() { stop(); }
-
-bool TcpLineServer::start(int port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // localhost only
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = static_cast<int>(ntohs(addr.sin_port));
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return true;
-}
-
-void TcpLineServer::stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    util::MutexLock lock(clients_mu_);
-    for (const int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : client_threads_) {
-    if (t.joinable()) t.join();
-  }
-  client_threads_.clear();
-}
-
-void TcpLineServer::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;  // listener closed (stop) or hard error
-    {
-      util::MutexLock lock(clients_mu_);
-      client_fds_.push_back(fd);
-    }
-    client_threads_.emplace_back([this, fd] { serve_client(fd); });
-  }
-}
-
-void TcpLineServer::serve_client(int fd) {
-  std::string buf;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos = 0, nl = 0;
-    while ((nl = buf.find('\n', pos)) != std::string::npos) {
-      const std::string line = buf.substr(pos, nl - pos);
-      pos = nl + 1;
-      if (line.empty()) continue;
-      bool close_after = false;
-      std::string resp = handler_(line, close_after);
-      resp += '\n';
-      std::size_t sent = 0;
-      while (sent < resp.size()) {
-        const ssize_t w =
-            ::send(fd, resp.data() + sent, resp.size() - sent, MSG_NOSIGNAL);
-        if (w <= 0) {
-          open = false;
-          break;
-        }
-        sent += static_cast<std::size_t>(w);
-      }
-      if (close_after) open = false;
-      if (!open) break;
-    }
-    buf.erase(0, pos);
-    if (buf.size() > serve::kMaxWireFrameBytes) break;  // poisoned stream
-  }
-  {
-    util::MutexLock lock(clients_mu_);
-    std::erase(client_fds_, fd);
-  }
-  ::close(fd);
-}
-
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

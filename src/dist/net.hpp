@@ -1,32 +1,20 @@
-// Minimal TCP line transport for the distribution layer (POSIX only;
-// GAPLAN_DIST_NET gates every consumer, mirroring gaplan_serve's --tcp).
+// Blocking TCP client connection of the distribution layer (POSIX only;
+// GAPLAN_TCP from server/line_server.hpp gates every consumer).
 //
-// Two pieces, both speaking the NDJSON wire protocol's framing (one
-// newline-terminated frame, at most serve::kMaxWireFrameBytes):
-//
-//  * Conn — a blocking client connection: connect, send a line, read the
-//    reply line. Used by the router's backend pool, the gossip sender, and
-//    the bench/e2e drivers. Not thread-safe; callers serialize access (the
-//    BackendPool checks a connection out under its table lock and does the
-//    socket IO outside it).
-//  * TcpLineServer — a localhost listener with one thread per connection,
-//    calling a handler per received line and writing back the returned
-//    response. gaplan_worker and gaplan_router are both this plus a handler.
+// Conn speaks the NDJSON wire framing (one newline-terminated frame, at most
+// serve::kMaxWireFrameBytes): connect, send a line, read the reply line.
+// Used by the router's backend pool, the gossip sender, and the bench/e2e
+// drivers. Not thread-safe; callers serialize access (the BackendPool checks
+// a connection out under its table lock and does the socket IO outside it).
+// The server side is serve::TcpLineServer.
 #pragma once
 
-#ifndef _WIN32
-#define GAPLAN_DIST_NET 1
-#endif
+#include "server/line_server.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
-#include <atomic>
-#include <functional>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include "util/sync.hpp"
+#include <utility>
 
 namespace gaplan::dist {
 
@@ -60,41 +48,6 @@ class Conn {
   std::string buf_;  ///< bytes past the last returned frame
 };
 
-/// One handler invocation per received line; the returned string (sans
-/// newline) is written back. Set `close_after` to end the connection after
-/// the response (shutdown verbs).
-using LineHandler =
-    std::function<std::string(const std::string& line, bool& close_after)>;
-
-class TcpLineServer {
- public:
-  explicit TcpLineServer(LineHandler handler);
-  ~TcpLineServer();
-  TcpLineServer(const TcpLineServer&) = delete;
-  TcpLineServer& operator=(const TcpLineServer&) = delete;
-
-  /// Binds 127.0.0.1:`port` (0 picks a free port) and starts accepting.
-  bool start(int port);
-  /// The bound port (after a successful start).
-  int port() const noexcept { return port_; }
-  /// Stops accepting, unblocks and joins every connection thread. Idempotent.
-  void stop();
-
- private:
-  void accept_loop();
-  void serve_client(int fd);
-
-  LineHandler handler_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> client_threads_;
-  util::Mutex clients_mu_{"dist.net.clients",
-                          util::lock_order::kRankServeClients};
-  std::vector<int> client_fds_ GAPLAN_GUARDED_BY(clients_mu_);
-};
-
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

@@ -1,6 +1,6 @@
 #include "dist/router.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <cmath>
 #include <stdexcept>
@@ -10,20 +10,16 @@
 #include "dist/cache_wire.hpp"
 #include "dist/island_shard.hpp"
 #include "obs/metrics.hpp"
+#include "server/protocol.hpp"
 #include "server/request_codec.hpp"
 
 namespace gaplan::dist {
 
 namespace {
 
+using serve::error_response;
 using serve::JsonWriter;
 using serve::WireMessage;
-
-std::string error_response(const std::string& message) {
-  JsonWriter w;
-  w.field("ok", false).field("error", std::string_view(message));
-  return w.finish();
-}
 
 std::uint64_t ring_key(const serve::Fingerprint& fp) {
   return fp.hi ^ fp.lo;
@@ -132,7 +128,7 @@ bool RouterService::probe_cache(const serve::Fingerprint& fp,
   return false;
 }
 
-std::string RouterService::handle_submit(const WireMessage& msg) {
+std::string RouterService::route_submit(const WireMessage& msg) {
   static obs::Counter& c_submitted = obs::counter("dist.submitted");
   static obs::Counter& c_dispatched = obs::counter("dist.dispatched");
   c_submitted.inc();
@@ -333,7 +329,7 @@ std::string RouterService::handle_route(const WireMessage& msg) {
   return w.finish();
 }
 
-std::string RouterService::render_stats() const {
+std::string RouterService::render_router_stats() const {
   Stats s;
   {
     util::MutexLock lock(mu_);
@@ -602,16 +598,16 @@ std::string RouterService::handle_line(const std::string& line,
   WireMessage msg;
   std::string parse_error;
   if (!serve::parse_wire_message(line, msg, parse_error)) {
-    return error_response(parse_error);
+    return error_response("parse: " + parse_error);
   }
   const std::string* cmd = msg.get_string("cmd");
   if (!cmd) return error_response("missing 'cmd'");
-  if (*cmd == "submit") return handle_submit(msg);
+  if (*cmd == "submit") return route_submit(msg);
   if (*cmd == "wait" || *cmd == "poll" || *cmd == "cancel" ||
       *cmd == "trace") {
     return handle_forward(msg);
   }
-  if (*cmd == "stats") return render_stats();
+  if (*cmd == "stats") return render_router_stats();
   if (*cmd == "backends") return render_backends();
   if (*cmd == "route") return handle_route(msg);
   if (*cmd == "ping") {
@@ -634,4 +630,4 @@ std::string RouterService::handle_line(const std::string& line,
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

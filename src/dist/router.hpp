@@ -33,7 +33,7 @@
 
 #include "dist/net.hpp"
 
-#ifdef GAPLAN_DIST_NET
+#ifdef GAPLAN_TCP
 
 #include <cstdint>
 #include <string>
@@ -98,10 +98,10 @@ class RouterService {
     serve::CachedPlan local_plan;
   };
 
-  std::string handle_submit(const serve::WireMessage& msg);
+  std::string route_submit(const serve::WireMessage& msg);
   std::string handle_forward(const serve::WireMessage& msg);
   std::string handle_route(const serve::WireMessage& msg);
-  std::string render_stats() const GAPLAN_EXCLUDES(mu_);
+  std::string render_router_stats() const GAPLAN_EXCLUDES(mu_);
   std::string render_backends() const;
 
   /// Probes the distributed cache tier for `fp` along `chain`. On a hit,
@@ -131,4 +131,4 @@ class RouterService {
 
 }  // namespace gaplan::dist
 
-#endif  // GAPLAN_DIST_NET
+#endif  // GAPLAN_TCP

@@ -73,49 +73,69 @@ ServerConfigFile parse_lines(std::istream& in, const std::string& path) {
                               loc);
       continue;
     }
-    bool ok = true;
-    if (key == "workers") {
-      ok = parse_size(value, file.config.workers);
-    } else if (key == "ga-threads") {
-      ok = parse_size(value, file.config.ga_threads);
-    } else if (key == "queue-capacity") {
-      ok = parse_size(value, file.config.queue_capacity);
-    } else if (key == "shed-depth") {
-      ok = parse_size(value, file.config.shed_depth);
-    } else if (key == "cache-capacity") {
-      ok = parse_size(value, file.config.cache_capacity);
-    } else if (key == "cache-shards") {
-      ok = parse_size(value, file.config.cache_shards);
-    } else if (key == "default-deadline-ms") {
-      ok = parse_ms(value, file.config.default_deadline_ms);
-    } else if (key == "max-deadline-ms") {
-      ok = parse_ms(value, file.config.max_deadline_ms);
-    } else if (key == "slice-phases") {
-      ok = parse_size(value, file.config.slice_phases);
-    } else if (key == "lint-requests") {
-      std::size_t flag = 1;
-      ok = parse_size(value, flag);
-      file.config.lint_requests = flag != 0;
-    } else if (key == "metrics-dump-path") {
-      file.config.metrics_dump_path = value;
-    } else if (key == "metrics-dump-ms") {
-      ok = parse_ms(value, file.config.metrics_dump_ms);
-    } else {
-      file.parse_report.warning("server.unknown-key",
-                                "unknown ServerConfig key '" + key + "'", key,
-                                loc);
-      continue;
-    }
-    if (!ok) {
-      file.parse_report.error(
-          "server.bad-value",
-          "cannot parse '" + value + "' as a value for '" + key + "'", key, loc);
+    switch (set_server_key(file.config, key, value)) {
+      case KeyStatus::kSet:
+        break;
+      case KeyStatus::kUnknownKey:
+        file.parse_report.warning("server.unknown-key",
+                                  "unknown ServerConfig key '" + key + "'",
+                                  key, loc);
+        break;
+      case KeyStatus::kBadValue:
+        file.parse_report.error(
+            "server.bad-value",
+            "cannot parse '" + value + "' as a value for '" + key + "'", key,
+            loc);
+        break;
     }
   }
   return file;
 }
 
 }  // namespace
+
+KeyStatus set_server_key(ServerConfig& config, const std::string& key,
+                         const std::string& value) {
+  bool ok = true;
+  if (key == "workers") {
+    ok = parse_size(value, config.workers);
+  } else if (key == "ga-threads") {
+    ok = parse_size(value, config.ga_threads);
+  } else if (key == "queue-capacity") {
+    ok = parse_size(value, config.queue_capacity);
+  } else if (key == "shed-depth") {
+    ok = parse_size(value, config.shed_depth);
+  } else if (key == "cache-capacity") {
+    ok = parse_size(value, config.cache_capacity);
+  } else if (key == "cache-shards") {
+    ok = parse_size(value, config.cache_shards);
+  } else if (key == "default-deadline-ms") {
+    ok = parse_ms(value, config.default_deadline_ms);
+  } else if (key == "max-deadline-ms") {
+    ok = parse_ms(value, config.max_deadline_ms);
+  } else if (key == "slice-phases") {
+    ok = parse_size(value, config.slice_phases);
+  } else if (key == "lint-requests") {
+    std::size_t flag = 1;
+    ok = parse_size(value, flag);
+    if (ok) config.lint_requests = flag != 0;
+  } else if (key == "metrics-dump-path") {
+    config.metrics_dump_path = value;
+  } else if (key == "metrics-dump-ms") {
+    ok = parse_ms(value, config.metrics_dump_ms);
+  } else {
+    return KeyStatus::kUnknownKey;
+  }
+  return ok ? KeyStatus::kSet : KeyStatus::kBadValue;
+}
+
+const char* server_flag_key(std::span<const ServerFlag> flags,
+                            std::string_view flag) {
+  for (const ServerFlag& f : flags) {
+    if (f.flag == flag) return f.key;
+  }
+  return nullptr;
+}
 
 ServerConfigFile parse_server_config_file(const std::string& path) {
   std::ifstream in(path);

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
@@ -83,5 +85,26 @@ ServerConfigFile parse_server_config_file(const std::string& path);
 /// Same, over in-memory text (tests).
 ServerConfigFile parse_server_config_text(const std::string& text,
                                           const std::string& path = "<memory>");
+
+/// How set_server_key() took one `key value` pair.
+enum class KeyStatus { kSet, kUnknownKey, kBadValue };
+
+/// Sets the `.serve` key `key` on `config` from its text `value`, with the
+/// file reader's rules: counts are unsigned decimal integers, milliseconds
+/// non-negative numbers. `config` is untouched unless the result is kSet.
+KeyStatus set_server_key(ServerConfig& config, const std::string& key,
+                         const std::string& value);
+
+/// A command-line flag that stands for a `.serve` key, such as
+/// {"--cache", "cache-capacity"}: gaplan_serve and gaplan_worker parse their
+/// service flags through set_server_key.
+struct ServerFlag {
+  std::string_view flag;
+  const char* key;
+};
+
+/// The `.serve` key that `flag` stands for in `flags`, or nullptr.
+const char* server_flag_key(std::span<const ServerFlag> flags,
+                            std::string_view flag);
 
 }  // namespace gaplan::serve

@@ -42,12 +42,12 @@ namespace gaplan::util::lock_order {
 inline constexpr int kRankDefault = 0;
 inline constexpr int kRankDistRouter = 6;      ///< dist::RouterService::mu_
 inline constexpr int kRankDistBackends = 7;    ///< dist::BackendPool backend table
-inline constexpr int kRankDistShards = 8;      ///< gaplan_worker island-shard table
+inline constexpr int kRankDistShards = 8;      ///< worker island-shard table (dist/worker_verbs)
 inline constexpr int kRankDistGossip = 9;      ///< dist::GossipSender queue
 inline constexpr int kRankServeService = 10;   ///< PlanService::mu_
 inline constexpr int kRankPoolQueue = 20;      ///< ThreadPool::mutex_
 inline constexpr int kRankCacheShard = 25;     ///< PlanCache::Shard::mu
-inline constexpr int kRankServeClients = 28;   ///< gaplan-serve TCP client list
+inline constexpr int kRankServeClients = 28;   ///< serve::TcpLineServer client list
 inline constexpr int kRankMetricsDumper = 30;  ///< obs::MetricsDumper::Impl::mu
 inline constexpr int kRankMetrics = 40;        ///< obs::MetricsRegistry::Impl::mu
 inline constexpr int kRankLog = 45;            ///< util::log_line's line mutex
