@@ -199,8 +199,6 @@ int main() {
   if (util::env_str("GAPLAN_XOVER", "mixed") == "random") {
     base.crossover = ga::CrossoverKind::kRandom;
   }
-  base.eval_batch_width = static_cast<std::size_t>(
-      util::env_int("GAPLAN_BATCH", 8));
 
   // cold and incremental decode slot by slot (the A/B pair of the
   // incremental engine) through the kernel-less adapter; soa is the same
@@ -210,12 +208,6 @@ int main() {
   ga::GaConfig cold = inc;
   cold.incremental_eval = false;
   cold.ops_cache_size = 0;
-  ga::GaConfig soa = base;
-  // Population-wide batches let the vector path's longest-remaining-first
-  // grouping keep all 8 SIMD lanes busy (decoder.hpp run_vector); results
-  // are bit-identical at any width.
-  soa.eval_batch_width = static_cast<std::size_t>(util::env_int(
-      "GAPLAN_SOA_BATCH", static_cast<int>(base.population_size)));
 
   bench::print_header("Evaluation throughput: cold vs incremental vs soa",
                       base, params);
@@ -229,7 +221,7 @@ int main() {
   const ConfigResult inc_r =
       run_config("incremental", per_slot, inc, params.runs, params.seed, reps);
   const ConfigResult soa_r =
-      run_config("soa", hanoi, soa, params.runs, params.seed, reps);
+      run_config("soa", hanoi, base, params.runs, params.seed, reps);
   const double speedup = cold_r.evals_per_sec() > 0.0
                              ? inc_r.evals_per_sec() / cold_r.evals_per_sec()
                              : 0.0;
@@ -286,12 +278,11 @@ int main() {
                " \"generations_per_phase\": %zu, \"runs\": %zu,"
                " \"seed\": %llu, \"crossover\": \"%s\","
                " \"checkpoint_stride\": %zu, \"ops_cache_size\": %zu,"
-               " \"eval_batch_width\": %zu, \"reps\": %d},\n",
+               " \"reps\": %d},\n",
                base.population_size, phases, base.generations, params.runs,
                static_cast<unsigned long long>(params.seed),
                base.crossover == ga::CrossoverKind::kRandom ? "random" : "mixed",
-               base.eval_checkpoint_stride, base.ops_cache_size,
-               base.eval_batch_width, reps);
+               base.eval_checkpoint_stride, base.ops_cache_size, reps);
   std::fprintf(f, "  \"configs\": [\n");
   json_config(f, cold_r, false);
   json_config(f, inc_r, false);

@@ -65,16 +65,11 @@ int main() {
   base.stop_on_valid = false;
 
   const bench::WithoutKernel<domains::Hanoi> per_slot(hanoi);
-  ga::GaConfig inc = base;
-  ga::GaConfig soa = base;
-  // Population-wide batches feed the vector path's longest-remaining-first
-  // grouping (bit-identical at any width, see bench_eval.cpp).
-  soa.eval_batch_width = base.population_size;
 
   const std::uint64_t seed = 42;
   const int reps = 2;
-  const double inc_rate = evals_per_sec(per_slot, inc, seed, reps);
-  const double soa_rate = evals_per_sec(hanoi, soa, seed, reps);
+  const double inc_rate = evals_per_sec(per_slot, base, seed, reps);
+  const double soa_rate = evals_per_sec(hanoi, base, seed, reps);
   const double speedup = inc_rate > 0.0 ? soa_rate / inc_rate : 0.0;
 
   std::printf("bench_eval_regression: incremental %.0f evals/s, soa %.0f "

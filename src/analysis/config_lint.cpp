@@ -104,10 +104,6 @@ Report lint_config(const ga::GaConfig& cfg) {
                  "is on",
                  "eval_checkpoint_stride");
   }
-  if (cfg.eval_batch_width < 1 || cfg.eval_batch_width > 1024) {
-    report.error("config.bad-batch-width",
-                 "eval_batch_width must be in [1, 1024]", "eval_batch_width");
-  }
   if (report.has_errors()) return report;  // warnings assume a sane base
 
   // --- warnings: legal but degraded ----------------------------------------

@@ -94,8 +94,6 @@ void GaConfig::validate() const {
         "seed_greediness must be in [0, 1]");
   check(!incremental_eval || eval_checkpoint_stride >= 1,
         "eval_checkpoint_stride must be >= 1 when incremental_eval is on");
-  check(eval_batch_width >= 1 && eval_batch_width <= 1024,
-        "eval_batch_width must be in [1, 1024]");
 }
 
 GaConfig GaConfig::scaled(double generations_factor, double population_factor,
@@ -137,7 +135,6 @@ std::string GaConfig::summary() const {
   } else {
     os << " cold-eval";
   }
-  os << " batch=" << eval_batch_width;
   return os.str();
 }
 

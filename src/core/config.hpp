@@ -110,10 +110,6 @@ struct GaConfig {
   /// Entries in each per-thread valid-ops transposition cache (rounded up to
   /// a power of two; 0 disables). Only domains declaring kCacheableOps use it.
   std::size_t ops_cache_size = 2048;
-  /// Individuals decoded per kernel batch on domains with a SIMD decode
-  /// kernel (the wavefront width). Also seeds the thread pool's work grain
-  /// (ThreadPool::grain_for). Valid range [1, 64].
-  std::size_t eval_batch_width = 8;
 
   /// Monotone multi-phase: a phase's best plan is appended only when it
   /// improves goal fitness over the phase's start state; otherwise the plan

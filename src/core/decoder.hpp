@@ -39,6 +39,7 @@
 #include "core/problem.hpp"
 #include "obs/metrics.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gaplan::ga {
 
@@ -79,14 +80,19 @@ struct DecodeTally {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t ops_decoded = 0;
+  /// 8-lane AVX-512 decode steps; ops_decoded / (8 * simd_steps) is the
+  /// vector path's lane occupancy.
+  std::uint64_t simd_steps = 0;
 
   void flush() const noexcept {
     static obs::Counter& c_hits = obs::counter("eval.cache_hits");
     static obs::Counter& c_misses = obs::counter("eval.cache_misses");
     static obs::Counter& c_ops = obs::counter("eval.ops_decoded");
+    static obs::Counter& c_steps = obs::counter("eval.simd_steps");
     if (cache_hits) c_hits.inc(cache_hits);
     if (cache_misses) c_misses.inc(cache_misses);
     if (ops_decoded) c_ops.inc(ops_decoded);
+    if (simd_steps) c_steps.inc(simd_steps);
   }
 };
 
@@ -502,7 +508,7 @@ std::size_t decode_indirect_resume(const P& problem,
 
 namespace detail {
 
-/// One individual's decode request inside a KernelBatchDecoder batch.
+/// One individual's decode request inside a KernelBatchDecoder pass.
 /// `prev == nullptr` forces a cold decode; otherwise the slot resumes from
 /// `prev` exactly like decode_indirect_resume (same fallback conditions, same
 /// whole-reuse / partial-resume / fast-forward structure).
@@ -515,26 +521,43 @@ struct KernelSlot {
   Evaluation<State>* ev = nullptr;
 };
 
+/// A slot after KernelBatchDecoder's prepare step: the trajectory state at
+/// gene `pos` and the checkpoint countdown, where the decode loop takes
+/// over. `slot` is null when prepare already completed the slot (whole
+/// reuse, goal at the start state, fast-forward to the end).
+template <typename State>
+struct KernelLane {
+  State s{};
+  std::size_t pos = 0;
+  std::size_t until_ckpt = 0;
+  KernelSlot<State>* slot = nullptr;
+
+  std::size_t remaining() const noexcept { return slot->genes.size() - pos; }
+};
+
 }  // namespace detail
 
-/// Batched decoder over a domain's SIMD kernel (see SimdDecodable in
+/// Population-wide decoder over a domain's SIMD kernel (see SimdDecodable in
 /// problem.hpp). Where the scalar path re-enumerates valid operations into a
 /// scratch vector and re-hashes them into a crossover signature per decoded
 /// gene, this path folds both into table lookups: the kernel's packed-ops LUT
 /// yields the operation set as one 64-bit word, and `sig_` — built once per
-/// decoder from the same LUT — yields the matching ops_signature. run()
-/// decodes each lane of the batch to completion in a tight register-resident
-/// loop (state, position, cost, and checkpoint countdown all live in locals;
-/// record_hashes is specialized out at compile time), so the per-gene cost is
-/// a handful of table loads plus the mandatory trajectory pushes. The batch
-/// is the unit of thread-pool chunking and of the eval.batches /
-/// eval.simd_lanes_used counters.
+/// decoder from the same LUT — yields the matching ops_signature.
+///
+/// run() takes a whole generation in one pass: it prepares every slot (the
+/// resume head), sorts the slots still decoding longest-remaining-first once,
+/// and decodes them in kGroup-lane groups — 8 individuals per AVX-512
+/// instruction on kernels with vector hooks, else a scalar loop that
+/// interleaves kIlv independent decode chains. A group runs until its longest
+/// lane finishes, so sorting the whole population (not a handful of slots)
+/// is what keeps the lanes busy; eval.simd_steps counts the vector steps.
 ///
 /// Bit-identical contract: every branch below mirrors the corresponding
 /// scalar code (decode_indirect_impl / decode_indirect_resume /
-/// indirect_fast_forward / indirect_decode_finish) line for line, so the
-/// produced Evaluations — ops, hashes, signatures, checkpoint ladder, and the
-/// plan_cost addition order per lane — match the scalar decoder exactly.
+/// indirect_fast_forward / indirect_decode_loop / indirect_decode_finish)
+/// line for line, so the produced Evaluations — ops, hashes, signatures,
+/// checkpoint ladder, and the plan_cost addition order per lane — match the
+/// scalar decoder exactly, whatever the grouping or thread count.
 ///
 /// Intentionally *not* constrained to SimdDecodable<P> at class scope so the
 /// engine can name KernelBatchDecoder<P> inside a std::conditional_t without
@@ -545,6 +568,10 @@ class KernelBatchDecoder {
   using State = typename P::StateT;
   using KernelT =
       std::remove_cvref_t<decltype(std::declval<const P&>().simd_kernel())>;
+
+  /// Lanes per decode group: one zmm of uint64 lanes, and the unit the
+  /// thread pool deals out.
+  static constexpr std::size_t kGroup = 8;
 
   /// `need_state_hashes` — whether anything downstream reads
   /// Evaluation::state_hashes (only exact-state crossover matching does; see
@@ -586,40 +613,66 @@ class KernelBatchDecoder {
 
   const DecodeOptions& options() const noexcept { return opt_; }
 
-  /// Decodes every slot of the batch from `start`. Thread-safe: per-call
-  /// state lives on the stack, so disjoint batches may run concurrently.
-  void run(const State& start,
-           std::span<detail::KernelSlot<State>> slots) const {
-    detail::DecodeTally tally;
-    bool vectored = false;
-#if GAPLAN_AVX512_DECODE
-    if constexpr (kVectorStep) {
-      // The vector step records no state hashes, so exact-state matching
-      // (record_hashes_) stays on the scalar-interleave path.
-      if (!record_hashes_ && vector_ok_) {
-        if (record_sigs_) {
-          run_vector<true>(start, slots, tally);
-        } else {
-          run_vector<false>(start, slots, tally);
-        }
-        vectored = true;
+  /// Decodes every slot from `start` in one pass. `lanes` is caller-owned
+  /// scratch (its capacity is reused, so a steady-state pass allocates
+  /// nothing). With a `pool` of more than one worker, prepare is split over
+  /// the slots and the sorted groups are dealt to the workers one at a time,
+  /// longest first, so no worker trails another by more than one group.
+  /// Thread-safe for disjoint slots and scratch.
+  void run(const State& start, std::span<detail::KernelSlot<State>> slots,
+           std::vector<detail::KernelLane<State>>& lanes,
+           util::ThreadPool* pool) const {
+    const std::size_t n = slots.size();
+    const bool pooled = pool != nullptr && pool->thread_count() > 1;
+    lanes.resize(n);
+    const auto prepare_range = [&](std::size_t lo, std::size_t hi) {
+      detail::DecodeTally tally;
+      for (std::size_t i = lo; i < hi; ++i) {
+        prepare(start, slots[i], lanes[i], tally);
       }
+      tally.flush();
+    };
+    if (pooled) {
+      pool->parallel_for_ranges(
+          0, n, prepare_range,
+          util::ThreadPool::grain_for(n, pool->thread_count()));
+    } else {
+      prepare_range(0, n);
     }
-#endif
-    if (!vectored) {
-      if (record_hashes_) {
-        run_impl<true, true>(start, slots, tally);
-      } else if (record_sigs_) {
-        run_impl<false, true>(start, slots, tally);
-      } else {
-        run_impl<false, false>(start, slots, tally);
-      }
+    std::erase_if(lanes, [](const detail::KernelLane<State>& ln) {
+      return ln.slot == nullptr;
+    });
+    std::sort(lanes.begin(), lanes.end(),
+              [](const detail::KernelLane<State>& a,
+                 const detail::KernelLane<State>& b) {
+                return a.remaining() > b.remaining();
+              });
+
+    const auto decode = [&](std::size_t lo, std::size_t hi) {
+      detail::DecodeTally tally;
+      decode_lanes(std::span(lanes).subspan(lo, hi - lo), tally);
+      tally.flush();
+    };
+    if (pooled) {
+      pool->parallel_deal((lanes.size() + kGroup - 1) / kGroup,
+                          [&](std::size_t g) {
+                            decode(g * kGroup,
+                                   std::min(lanes.size(), (g + 1) * kGroup));
+                          });
+    } else {
+      decode(0, lanes.size());
     }
     static obs::Counter& c_batches = obs::counter("eval.batches");
     static obs::Counter& c_lanes = obs::counter("eval.simd_lanes_used");
     c_batches.inc();
-    c_lanes.inc(slots.size());
-    tally.flush();
+    c_lanes.inc(n);
+  }
+
+  /// Serial run() with scratch of its own, for one-off decodes.
+  void run(const State& start,
+           std::span<detail::KernelSlot<State>> slots) const {
+    std::vector<detail::KernelLane<State>> lanes;
+    run(start, slots, lanes, nullptr);
   }
 
  private:
@@ -640,25 +693,45 @@ class KernelBatchDecoder {
       };
 #endif
 
-  struct Lane {
-    State s{};
-    std::size_t pos = 0;
-    std::size_t until_ckpt = 0;
-    double cost = 0.0;    ///< running plan cost (mirrors ev.plan_cost)
-    bool need_sig = true; ///< signature for the current position still owed
-    bool reused = false;  ///< whole-evaluation reuse: skip finish()
-    bool active = false;
-  };
+  /// Decodes sorted, prepared lanes to completion on the vector path when
+  /// the kernel and CPU allow it, else on the scalar interleave.
+  void decode_lanes(std::span<const detail::KernelLane<State>> lanes,
+                    detail::DecodeTally& tally) const {
+#if GAPLAN_AVX512_DECODE
+    if constexpr (kVectorStep) {
+      // The vector step records no state hashes, so exact-state matching
+      // (record_hashes_) stays on the scalar-interleave path.
+      if (!record_hashes_ && vector_ok_) {
+        if (record_sigs_) {
+          run_vector<true>(lanes, tally);
+        } else {
+          run_vector<false>(lanes, tally);
+        }
+        return;
+      }
+    }
+#endif
+    if (record_hashes_) {
+      run_impl<true, true>(lanes, tally);
+    } else if (record_sigs_) {
+      run_impl<false, true>(lanes, tally);
+    } else {
+      run_impl<false, false>(lanes, tally);
+    }
+  }
 
   /// Replicates the head of decode_indirect_resume (or the cold-decode init)
-  /// for one slot, leaving `ln` positioned where the main loop takes over.
-  void prepare(const State& start, detail::KernelSlot<State>& slot, Lane& ln,
+  /// for one slot. Leaves `ln` positioned where the decode loop takes over,
+  /// or completes the slot and clears ln.slot when nothing is left to decode.
+  void prepare(const State& start, detail::KernelSlot<State>& slot,
+               detail::KernelLane<State>& ln,
                detail::DecodeTally& tally) const {
     Evaluation<State>& ev = *slot.ev;
     const std::span<const Gene> genes = slot.genes;
     const std::size_t stride = opt_.checkpoint_stride;
     bool done = false;
     bool cold = true;
+    ln.slot = nullptr;
 
     if (slot.prev != nullptr) {
       const Evaluation<State>& prev = *slot.prev;
@@ -682,7 +755,6 @@ class KernelBatchDecoder {
           static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
           c_reused.inc(genes.size());
           c_whole.inc();
-          ln.reused = true;
           return;
         }
         const std::size_t limit = std::min(dirty, prev.ops.size());
@@ -756,35 +828,29 @@ class KernelBatchDecoder {
     }
     ln.until_ckpt = stride != 0 ? stride - ln.pos % stride
                                 : std::numeric_limits<std::size_t>::max();
-    ln.active = !done && ln.pos < genes.size();
+    if (!done && ln.pos < genes.size()) {
+      ln.slot = &slot;
+    } else {
+      finish(ev, ln.s);
+    }
   }
 
-  /// Interleave width of the batched decode. Each lane's decode is a serial
+  /// Interleave width of the scalar decode. Each lane's decode is a serial
   /// state→LUT→op→state dependency chain whose latency dominates the scalar
   /// engine's per-gene cost; stepping kIlv independent lanes in one loop body
   /// lets the out-of-order core overlap their chains (~2x on the reference
   /// box; diminishing returns past 4 as register pressure sets in).
   static constexpr std::size_t kIlv = 4;
 
-  /// Drives the whole batch: prepares slots into up to kIlv live lanes,
-  /// steps the live lanes in bounded interleaved rounds, and refills a
-  /// retired lane from the pending slots so the chain overlap stays high.
-  /// Per-lane decode order is exactly decode_lane's — lanes only interleave
+  /// Scalar decode of prepared lanes: keeps up to kIlv lanes live, steps
+  /// them in bounded interleaved rounds, and refills a retired lane from the
+  /// pending ones so the chain overlap stays high. Each lane performs
+  /// indirect_decode_loop's operations in its order — lanes only interleave
   /// *between* individuals' trajectories, never within one — so the produced
   /// Evaluations are unchanged.
   template <bool RecordHashes, bool RecordSigs>
-  void run_impl(const State& start, std::span<detail::KernelSlot<State>> slots,
+  void run_impl(std::span<const detail::KernelLane<State>> lanes,
                 detail::DecodeTally& tally) const {
-    // A single-slot batch (eval_batch_width 1, or a chunk remainder) has no
-    // chains to overlap; the serial per-lane loop has less bookkeeping.
-    if (slots.size() == 1) {
-      Lane ln;
-      prepare(start, slots[0], ln, tally);
-      if (ln.active) decode_lane<RecordHashes, RecordSigs>(slots[0], ln, tally);
-      if (!ln.reused) finish(*slots[0].ev, ln.s);
-      return;
-    }
-
     // Lane state as parallel plain-scalar locals (a lane-SoA): the compiler
     // can prove nothing aliases them — vector push_backs write through
     // Evaluation pointers, but these arrays' addresses never escape — so
@@ -800,28 +866,24 @@ class KernelBatchDecoder {
     bool stopped[kIlv] = {};  // goal truncation / dead end inside a round
     Evaluation<State>* evp[kIlv] = {};
     std::size_t m = 0;     // live lanes (compacted into index range [0, m))
-    std::size_t next = 0;  // next pending slot
+    std::size_t next = 0;  // next pending lane
 
     const auto pump = [&] {
-      while (m < kIlv && next < slots.size()) {
-        detail::KernelSlot<State>& slot = slots[next++];
-        Lane ln;
-        prepare(start, slot, ln, tally);
-        if (ln.active) {
-          s[m] = ln.s;
-          gp[m] = slot.genes.data();
-          n[m] = slot.genes.size();
-          pos[m] = ln.pos;
-          until[m] = ln.until_ckpt;
-          cost[m] = slot.ev->plan_cost;
-          need_sig[m] =
-              !RecordSigs || slot.ev->op_signatures.size() <= ln.pos;
-          stopped[m] = false;
-          evp[m] = slot.ev;
-          ++m;
-        } else if (!ln.reused) {
-          finish(*slot.ev, ln.s);
-        }
+      for (; m < kIlv && next < lanes.size(); ++m, ++next) {
+        const detail::KernelLane<State>& ln = lanes[next];
+        Evaluation<State>& ev = *ln.slot->ev;
+        s[m] = ln.s;
+        gp[m] = ln.slot->genes.data();
+        n[m] = ln.slot->genes.size();
+        pos[m] = ln.pos;
+        until[m] = ln.until_ckpt;
+        cost[m] = ev.plan_cost;
+        // After a fast-forward divergence the signature for the resume
+        // position is already recorded (the scalar loop's sigs<hashes
+        // guard, rephrased on positions).
+        need_sig[m] = !RecordSigs || ev.op_signatures.size() <= ln.pos;
+        stopped[m] = false;
+        evp[m] = &ev;
       }
     };
 
@@ -877,7 +939,7 @@ class KernelBatchDecoder {
           }
         }
       }
-      // Retire finished lanes (compacting), then refill from pending slots.
+      // Retire finished lanes (compacting), then refill from pending lanes.
       for (std::size_t i = 0; i < m;) {
         if (stopped[i] || pos[i] >= n[i]) {
           evp[i]->plan_cost = cost[i];
@@ -902,20 +964,21 @@ class KernelBatchDecoder {
   }
 
 #if GAPLAN_AVX512_DECODE
-  static constexpr std::size_t kVL = 8;      ///< uint64 lanes per zmm
-  static constexpr std::size_t kVChunk = 64; ///< steps between staging flushes
+  static constexpr std::size_t kVL = kGroup;  ///< uint64 lanes per zmm
+  static constexpr std::size_t kVChunk = 64;  ///< steps between staging flushes
 
   /// Data-parallel decode: 8 individuals advance one gene per iteration in
-  /// AVX-512 registers. The scalar-interleave loop above overlaps lanes'
+  /// AVX-512 registers. The scalar interleave above overlaps lanes'
   /// dependency chains but still issues every lane's scalar op stream; here
   /// one instruction stream serves all 8 lanes, and the kernel hooks
   /// (lut_index8 / apply8 / is_goal8) keep the per-step state transition
   /// entirely in zmm registers. Trajectory output goes through small
   /// L1-resident staging columns — masked scatters during the chunk, one bulk
   /// append per lane per kVChunk steps — replacing the per-op push_backs.
+  /// `lanes` are taken kVL at a time in their (sorted) order.
   ///
-  /// Bit-identical contract: the step body performs decode_lane's operations
-  /// in decode_lane's order (signature push, dead-end stop, op select, unit
+  /// Bit-identical contract: the step body performs indirect_decode_loop's
+  /// operations in its order (signature push, dead-end stop, op select, unit
   /// cost add, apply, op push, checkpoint, goal test, exhaustion), with
   /// per-lane masks standing in for the scalar loop's early exits. Costs are
   /// the same 1.0-addition sequence (kUnitOpCost), so plan_cost matches
@@ -924,11 +987,11 @@ class KernelBatchDecoder {
   /// whole group retires through the shared finish().
   ///
   /// Only compiled for kVectorStep kernels and only entered behind
-  /// util::has_avx512_decode() (see run); never records state hashes — the
-  /// dispatch keeps exact-state matching on the scalar path.
+  /// util::has_avx512_decode() (see decode_lanes); never records state
+  /// hashes — the dispatch keeps exact-state matching on the scalar path.
   template <bool RecordSigs>
   GAPLAN_AVX512_TARGET void run_vector(
-      const State& start, std::span<detail::KernelSlot<State>> slots,
+      std::span<const detail::KernelLane<State>> lanes,
       detail::DecodeTally& tally) const {
     alignas(64) std::uint64_t sig_st[kVL][kVChunk];
     alignas(64) int op_st[kVL][kVChunk];
@@ -949,45 +1012,6 @@ class KernelBatchDecoder {
       return static_cast<long long>(reinterpret_cast<std::uintptr_t>(p));
     };
 
-    // Prepare every slot first; slots that prepare() resolves without
-    // decoding (whole reuse, cold goal, fast-forward to completion) retire
-    // inline exactly as in the scalar driver. The surviving lanes are then
-    // grouped longest-remaining-first: a group runs until its longest lane
-    // finishes, so homogeneous groups keep all 8 lanes busy — with the
-    // incremental resume in play, remaining lengths vary widely and arrival
-    // order would waste half the lanes.
-    struct VLane {
-      std::uint64_t p, pos, n, until, gaddr, opscnt;
-      double cost;
-      Evaluation<State>* ev;
-      // After a fast-forward divergence the signature for the resume position
-      // is already recorded (decode_lane's need_sig guard); the first flush
-      // drops the duplicate the step loop stages unconditionally.
-      bool skip_sig;
-      bool goal_found;  ///< goal_index preset by resume: no re-detection
-    };
-    std::vector<VLane> lanes;
-    lanes.reserve(slots.size());
-    for (detail::KernelSlot<State>& slot : slots) {
-      Lane ln;
-      prepare(start, slot, ln, tally);
-      if (!ln.active) {
-        if (!ln.reused) finish(*slot.ev, ln.s);
-        continue;
-      }
-      Evaluation<State>& ev = *slot.ev;
-      lanes.push_back(VLane{
-          std::bit_cast<std::uint64_t>(ln.s), ln.pos, slot.genes.size(),
-          ln.until_ckpt,
-          reinterpret_cast<std::uintptr_t>(slot.genes.data() + ln.pos),
-          ev.ops.size(), ev.plan_cost, &ev,
-          RecordSigs && ev.op_signatures.size() > ln.pos,
-          ev.goal_index != kNoGoal});
-    }
-    std::sort(lanes.begin(), lanes.end(), [](const VLane& a, const VLane& b) {
-      return a.n - a.pos > b.n - b.pos;
-    });
-
     for (std::size_t base = 0; base < lanes.size(); base += kVL) {
       const std::size_t nb = std::min(kVL, lanes.size() - base);
       alignas(64) std::uint64_t p_a[kVL] = {};
@@ -996,20 +1020,27 @@ class KernelBatchDecoder {
                                 opscnt_a[kVL] = {};
       alignas(64) double cost_a[kVL] = {};
       Evaluation<State>* evp[kVL] = {};
+      // After a fast-forward divergence the signature for the resume
+      // position is already recorded; the first flush drops the duplicate
+      // the step loop stages unconditionally.
       bool skip_sig[kVL] = {};
-      __mmask8 gfound = 0;
+      __mmask8 gfound = 0;  ///< goal_index preset by resume: no re-detection
       for (std::size_t j = 0; j < nb; ++j) {
-        const VLane& vl = lanes[base + j];
-        p_a[j] = vl.p;
-        pos_a[j] = vl.pos;
-        n_a[j] = vl.n;
-        until_a[j] = vl.until;
-        gaddr_a[j] = vl.gaddr;
-        opscnt_a[j] = vl.opscnt;
-        cost_a[j] = vl.cost;
-        evp[j] = vl.ev;
-        skip_sig[j] = vl.skip_sig;
-        if (vl.goal_found) gfound |= static_cast<__mmask8>(1u << j);
+        const detail::KernelLane<State>& ln = lanes[base + j];
+        Evaluation<State>& ev = *ln.slot->ev;
+        p_a[j] = std::bit_cast<std::uint64_t>(ln.s);
+        pos_a[j] = ln.pos;
+        n_a[j] = ln.slot->genes.size();
+        until_a[j] = ln.until_ckpt;
+        gaddr_a[j] =
+            reinterpret_cast<std::uintptr_t>(ln.slot->genes.data() + ln.pos);
+        opscnt_a[j] = ev.ops.size();
+        cost_a[j] = ev.plan_cost;
+        evp[j] = &ev;
+        skip_sig[j] = RecordSigs && ev.op_signatures.size() > ln.pos;
+        if (ev.goal_index != kNoGoal) {
+          gfound |= static_cast<__mmask8>(1u << j);
+        }
       }
 
       __m512i p_v = _mm512_load_epi64(p_a);
@@ -1043,6 +1074,7 @@ class KernelBatchDecoder {
         const __m512i cks_ad0 = cks_ad;
 
         for (std::size_t step = 0; step < kVChunk && alive; ++step) {
+          ++tally.simd_steps;
           const __m512i li = kernel_.lut_index8(p_v);
           if constexpr (RecordSigs) {
             const __m512i sig = _mm512_i64gather_epi64(li, sig_tab, 8);
@@ -1160,64 +1192,6 @@ class KernelBatchDecoder {
     }
   }
 #endif  // GAPLAN_AVX512_DECODE
-
-  /// Decodes one lane to completion — the kernel mirror of
-  /// indirect_decode_loop, with the per-gene loop state (trajectory state,
-  /// position, running cost, checkpoint countdown) held in locals so it stays
-  /// in registers, and the record_hashes branch lifted into the template
-  /// parameter. The trajectory pushes happen in exactly the scalar loop's
-  /// order, so the produced Evaluation is bit-identical.
-  template <bool RecordHashes, bool RecordSigs>
-  void decode_lane(detail::KernelSlot<State>& slot, Lane& ln,
-                   detail::DecodeTally& tally) const {
-    Evaluation<State>& ev = *slot.ev;
-    const Gene* const genes = slot.genes.data();
-    const std::size_t n = slot.genes.size();
-    State s = ln.s;
-    std::size_t pos = ln.pos;
-    std::size_t until_ckpt = ln.until_ckpt;
-    double cost = ev.plan_cost;
-    std::uint64_t decoded = 0;
-    // After a fast-forward divergence the signature for this position was
-    // already recorded (the scalar loop's sigs<hashes guard, rephrased on
-    // positions); only the first gene can hit that case — every later
-    // iteration pushes exactly one signature.
-    bool need_sig = !RecordSigs || ev.op_signatures.size() <= pos;
-    while (pos < n) {
-      const std::uint32_t li = kernel_.lut_index(s);
-      const PackedOps po{kernel_.lut_ops(li), kernel_.lut_count(li)};
-      if constexpr (RecordSigs) {
-        if (need_sig) {
-          ev.op_signatures.push_back(sig_[li]);
-        } else {
-          need_sig = true;
-        }
-      }
-      if (po.m == 0) {  // dead end: remaining genes are inert
-        ev.dead_end = true;
-        break;
-      }
-      const int op = po.op(gene_to_index(genes[pos], po.m));
-      cost += kernel_.op_cost(s, op);
-      kernel_.apply(s, op);
-      ev.ops.push_back(op);
-      ++decoded;
-      ++pos;
-      if constexpr (RecordHashes) ev.state_hashes.push_back(kernel_.hash(s));
-      if (--until_ckpt == 0) {
-        ev.checkpoint_states.push_back(s);
-        ev.checkpoint_costs.push_back(cost);
-        until_ckpt = opt_.checkpoint_stride;
-      }
-      if (ev.goal_index == kNoGoal && kernel_.is_goal(s)) {
-        ev.goal_index = ev.ops.size();
-        if (opt_.truncate_at_goal) break;
-      }
-    }
-    ev.plan_cost = cost;
-    tally.ops_decoded += decoded;
-    ln.s = s;
-  }
 
   /// Kernel mirror of indirect_fast_forward — same jump/decode/divergence
   /// structure, with LUT lookups in place of resolve_valid_ops.

@@ -14,9 +14,10 @@
 //  * children carry (parent index, first dirty gene) bookkeeping, so
 //    step_evaluate re-decodes only from the parent's checkpointed state
 //    nearest the first gene crossover/mutation actually changed;
-//  * domains with a SIMD kernel decode in batches (KernelBatchDecoder); the
-//    rest decode per slot through per-thread EvalContexts holding the
-//    valid-ops transposition cache for domains that opt in (CacheableOps).
+//  * domains with a SIMD kernel decode the whole population in one pass of
+//    sorted 8-lane groups (KernelBatchDecoder); the rest decode per slot
+//    through per-thread EvalContexts holding the valid-ops transposition
+//    cache for domains that opt in (CacheableOps).
 // All of it is bit-identical to cold evaluation (GaConfig::incremental_eval
 // turns the reuse off; random draws are unaffected).
 #pragma once
@@ -149,10 +150,10 @@ Genome greedy_seed_genome(const P& problem, const GaConfig& cfg,
 /// parallel metadata arrays); reproduction splices children between the
 /// pools with contiguous lane copies. The decode path is fixed at compile
 /// time: domains with a SIMD kernel (SimdDecodable) decode the indirect
-/// encoding in batches through KernelBatchDecoder; every other domain, and
-/// the direct encoding everywhere, decodes slot by slot over lane spans
-/// (evaluate_resume / evaluate_into). Both paths are bit-identical to a cold
-/// evaluate_into of each genome (tests/test_golden.cpp).
+/// encoding in one population-wide KernelBatchDecoder pass; every other
+/// domain, and the direct encoding everywhere, decodes slot by slot over lane
+/// spans (evaluate_resume / evaluate_into). Both paths are bit-identical to a
+/// cold evaluate_into of each genome (tests/test_golden.cpp).
 template <PlanningProblem P>
 class PhaseRunner {
  public:
@@ -526,50 +527,33 @@ class PhaseRunner {
                    rng, db);
   }
 
-  /// Batched decode through the domain kernel: chunks of eval_batch_width
-  /// slots per KernelBatchDecoder::run call, parallelized across the thread
-  /// pool with a batch-derived grain (ThreadPool::grain_for).
+  /// One kernel pass over the whole population (KernelBatchDecoder::run):
+  /// every slot that needs decoding joins the pass, with its retired parent
+  /// as the resume source, and the decoder prepares, sorts and decodes them
+  /// (across the thread pool when there is one). The slot and lane lists
+  /// are runner-owned scratch, so a steady-state generation allocates
+  /// nothing here.
   void evaluate_kernel(bool resumable) {
-    const std::size_t n = cur_.slots();
-    const std::size_t bw = std::max<std::size_t>(1, cfg_->eval_batch_width);
-    static obs::Gauge& g_bw = obs::gauge("eval.batch_width");
-    g_bw.set(static_cast<double>(bw));
-    auto run_range = [&](std::size_t lo, std::size_t hi) {
-      std::vector<detail::KernelSlot<State>> slots;
-      slots.reserve(std::min(bw, hi - lo));
-      for (std::size_t b = lo; b < hi; b += bw) {
-        const std::size_t e = std::min(hi, b + bw);
-        slots.clear();
-        for (std::size_t i = b; i < e; ++i) {
-          if (resumable && dirty_of_[i] == detail::kEvalReady) {
-            continue;  // elite: evaluation carried over
-          }
-          detail::KernelSlot<State> sl;
-          sl.genes = cur_.genome(i);
-          sl.ev = &cur_.eval(i);
-          if (resumable && dirty_of_[i] != detail::kDirtyAll) {
-            // next_ holds the retired parent generation (double-buffered).
-            const std::size_t pi = parent_of_[i];
-            if (next_.eval(pi).decoded) {
-              sl.prev = &next_.eval(pi);
-              sl.parent_genes = next_.genome(pi);
-              sl.first_dirty = dirty_of_[i];
-            }
-          }
-          slots.push_back(sl);
-        }
-        if (slots.empty()) continue;
-        kdec_->run(start_, std::span<detail::KernelSlot<State>>(slots));
-        for (const auto& sl : slots) score(*problem_, *cfg_, *sl.ev);
+    kslots_.clear();
+    for (std::size_t i = 0; i < cur_.slots(); ++i) {
+      if (resumable && dirty_of_[i] == detail::kEvalReady) {
+        continue;  // elite: evaluation carried over
       }
-    };
-    if (pool_ != nullptr && pool_->thread_count() > 1) {
-      pool_->parallel_for_ranges(
-          0, n, run_range,
-          util::ThreadPool::grain_for(n, bw, pool_->thread_count()));
-    } else {
-      run_range(0, n);
+      detail::KernelSlot<State>& sl = kslots_.emplace_back();
+      sl.genes = cur_.genome(i);
+      sl.ev = &cur_.eval(i);
+      if (resumable && dirty_of_[i] != detail::kDirtyAll) {
+        // next_ holds the retired parent generation (double-buffered).
+        const std::size_t pi = parent_of_[i];
+        if (next_.eval(pi).decoded) {
+          sl.prev = &next_.eval(pi);
+          sl.parent_genes = next_.genome(pi);
+          sl.first_dirty = dirty_of_[i];
+        }
+      }
     }
+    kdec_->run(start_, kslots_, klanes_, pool_);
+    for (const auto& sl : kslots_) score(*problem_, *cfg_, *sl.ev);
   }
 
   /// Per-slot decode over lane spans: resumes each child from its retired
@@ -645,6 +629,8 @@ class PhaseRunner {
   Evaluation<State> eval_a_, eval_b_;    ///< crowding child evaluations
   CrossoverScratch xscratch_;
   std::optional<KdecT> kdec_;  ///< engaged iff SimdDecodable<P>
+  std::vector<detail::KernelSlot<State>> kslots_;  ///< kernel pass slots
+  std::vector<detail::KernelLane<State>> klanes_;  ///< kernel pass lanes
   DecodeOptions kdec_opts_{};  ///< options kdec_ was built with
   bool kdec_exact_ = false;    ///< exact-state flag kdec_ was built with
   PhaseResult<State> result_;

@@ -18,9 +18,10 @@ namespace gaplan::ga {
 /// genome pool, whose genomes are lanes rather than vectors.
 inline std::size_t mutate_tracked(std::span<Gene> genes, double rate,
                                   util::Rng& rng, std::size_t& first_mutated) {
+  const std::uint64_t threshold = util::Rng::chance_threshold(rate);
   std::size_t mutated = 0;
   for (std::size_t i = 0; i < genes.size(); ++i) {
-    if (rng.chance(rate)) {
+    if (rng.chance_below(threshold)) {
       genes[i] = rng.uniform();
       if (mutated == 0 && i < first_mutated) first_mutated = i;
       ++mutated;

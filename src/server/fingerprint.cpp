@@ -96,10 +96,9 @@ void mix_config(FingerprintHasher& h, const ga::GaConfig& cfg) {
   h.mix(cfg.match_weight);
   h.mix(static_cast<std::uint64_t>(cfg.truncate_at_goal));
   h.mix(static_cast<std::uint64_t>(cfg.stop_on_valid));
-  // incremental_eval / eval_checkpoint_stride / ops_cache_size and
-  // eval_batch_width change *how* evaluation runs, never its result
-  // (bit-identical by design), so they are deliberately left out: toggling
-  // them must still hit the cache.
+  // incremental_eval / eval_checkpoint_stride / ops_cache_size change *how*
+  // evaluation runs, never its result (bit-identical by design), so they
+  // are deliberately left out: toggling them must still hit the cache.
   h.mix(static_cast<std::uint64_t>(cfg.monotone_phases));
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -87,6 +88,20 @@ class Rng {
 
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept { return uniform() < p; }
+
+  /// chance(p) as one integer compare, for loops that draw against a fixed
+  /// p: chance_below(chance_threshold(p)) consumes the same draw and returns
+  /// the same result as chance(p). uniform() < p is (x >> 11) < p·2^53 for
+  /// the integer x >> 11 < 2^53, and p·2^53 is exact, so its ceiling is the
+  /// threshold.
+  static std::uint64_t chance_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;  // never (NaN included)
+    if (p >= 1.0) return std::uint64_t{1} << 53;  // always
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool chance_below(std::uint64_t threshold) noexcept {
+    return ((*this)() >> 11) < threshold;
+  }
 
   /// Fisher–Yates shuffle (platform-stable, unlike std::shuffle).
   template <typename T>

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "util/timer.hpp"
@@ -146,6 +147,17 @@ void ThreadPool::parallel_for_ranges(
     }
   }
   for (auto& f : futs) f.get();  // rethrows the first task exception
+}
+
+void ThreadPool::parallel_deal(std::size_t n,
+                               const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&](std::size_t) {
+    for (std::size_t i = cursor++; i < n; i = cursor++) fn(i);
+  };
+  // One draining task per worker: parallel_for's chunk is a single index
+  // here, since it never exceeds thread_count() indices.
+  parallel_for(0, std::min(n, thread_count()), drain);
 }
 
 ThreadPool& global_pool() {

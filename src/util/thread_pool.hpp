@@ -96,25 +96,28 @@ class ThreadPool {
 
   /// Runs fn(lo, hi) over contiguous [lo, hi) chunks of exactly `grain`
   /// indices (the final chunk may be shorter), blocking until all complete.
-  /// The range form of parallel_for for batched work: the callee sees whole
-  /// chunks, so it can process them as one batch (the pooled evaluator feeds
-  /// each chunk to its SIMD kernel decoder). Serial on <= 1 worker; helps
-  /// drain the queue while waiting, like parallel_for.
+  /// The range form of parallel_for, for callees that amortise per-chunk
+  /// setup (the kernel decoder's prepare pass takes a chunk of slots per
+  /// call). Serial on <= 1 worker; helps drain the queue while waiting, like
+  /// parallel_for.
   void parallel_for_ranges(std::size_t begin, std::size_t end,
                            const std::function<void(std::size_t, std::size_t)>& fn,
                            std::size_t grain) GAPLAN_EXCLUDES(mutex_);
 
-  /// Work grain for batch-oriented parallel loops: the batch width B when
-  /// there is enough work for every worker, shrinking to ~n/workers on tiny
-  /// inputs so no worker starves (each chunk is one decode batch, so a grain
-  /// above n/workers would leave workers idle while one chews several
-  /// batches). Always >= 1.
-  static std::size_t grain_for(std::size_t n, std::size_t batch_width,
-                               std::size_t workers) noexcept {
-    if (n == 0) return 1;
-    const std::size_t per_worker =
-        std::max<std::size_t>(1, n / std::max<std::size_t>(1, workers));
-    return std::max<std::size_t>(1, std::min(batch_width, per_worker));
+  /// Runs fn(i) for i in [0, n), blocking until all complete. Indices are
+  /// dealt one at a time, in increasing order, from a shared cursor to up to
+  /// thread_count() tasks, so when per-index cost falls with the index (the
+  /// kernel decoder's longest-first lane groups) no task finishes more than
+  /// one index behind another. Serial on <= 1 worker; exceptions and
+  /// waiting as in parallel_for.
+  void parallel_deal(std::size_t n, const std::function<void(std::size_t)>& fn)
+      GAPLAN_EXCLUDES(mutex_);
+
+  /// Grain for parallel_for_ranges that gives each of `workers` one
+  /// contiguous chunk of ~n/workers indices. Always >= 1; zero workers count
+  /// as one.
+  static std::size_t grain_for(std::size_t n, std::size_t workers) noexcept {
+    return std::max<std::size_t>(1, n / std::max<std::size_t>(1, workers));
   }
 
   /// Target chunks per worker in parallel_for (static-partition imbalance

@@ -397,11 +397,8 @@ inline std::vector<Case> all_cases() {
     add_phase("kernel_hanoi_exact_state", hanoi5(), exact, 1);
     ga::GaConfig cold = base_config();
     cold.incremental_eval = false;
-    cold.eval_batch_width = 1;
     add_phase("kernel_hanoi_cold_width1", hanoi5(), cold, 1);
-    ga::GaConfig lanes = base_config();
-    lanes.eval_batch_width = 4;
-    add_phase("kernel_hanoi6_pool4_width4", hanoi6(), lanes, 4);
+    add_phase("kernel_hanoi6_pool4_width4", hanoi6(), base_config(), 4);
     ga::GaConfig stop = base_config();
     stop.generations = 60;
     stop.stop_on_valid = true;

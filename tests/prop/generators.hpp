@@ -58,7 +58,6 @@ inline Gen<ga::Genome> genome(std::size_t min_len, std::size_t max_len) {
 /// knobs. Small budgets keep engine-level properties fast.
 inline ga::GaConfig random_config(util::Rng& rng) {
   ga::GaConfig cfg;
-  cfg.population_size = 8 + 2 * rng.below(9);  // even, 8..24
   cfg.generations = 3 + rng.below(6);
   cfg.initial_length = 8 + rng.below(17);
   cfg.max_length = cfg.initial_length + 8 + rng.below(57);
@@ -80,8 +79,10 @@ inline ga::GaConfig random_config(util::Rng& rng) {
   cfg.incremental_eval = rng.chance(0.8);
   static constexpr std::size_t kStrides[] = {1, 4, 16};
   cfg.eval_checkpoint_stride = kStrides[rng.below(3)];
-  static constexpr std::size_t kWidths[] = {1, 2, 3, 8, 64};
-  cfg.eval_batch_width = kWidths[rng.below(5)];
+  // Kernel passes decode in 8-lane groups; an (even) population off a
+  // multiple of 8 leaves a partial last group.
+  static constexpr std::size_t kPops[] = {10, 12, 14, 18, 20, 22};
+  cfg.population_size = kPops[rng.below(6)];
   return cfg;
 }
 
@@ -114,9 +115,8 @@ inline std::vector<ga::GaConfig> shrink_config(const ga::GaConfig& cfg) {
     c.elite_count = std::min(c.elite_count, c.population_size - 1);
     out.push_back(c);
   }
-  if (cfg.eval_batch_width != 1 || cfg.eval_checkpoint_stride != 1) {
+  if (cfg.eval_checkpoint_stride != 1) {
     ga::GaConfig c = cfg;
-    c.eval_batch_width = 1;
     c.eval_checkpoint_stride = 1;
     out.push_back(c);
   }

@@ -17,6 +17,7 @@
 #include "domains/navigation.hpp"
 #include "obs/report.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -205,8 +206,8 @@ TEST(Metrics, EvalCountersAppearInExport) {
 }
 
 TEST(Metrics, PooledEvalCountersAppearInExport) {
-  // The struct-of-arrays batch evaluator must surface its work: after a
-  // run on a SIMD-kernel domain, the batch counters are registered,
+  // The struct-of-arrays kernel evaluator must surface its work: after a
+  // run on a SIMD-kernel domain, the pass and lane counters are registered,
   // populated, and exported to Prometheus.
   namespace ga = gaplan::ga;
   namespace domains = gaplan::domains;
@@ -217,7 +218,6 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
   cfg.initial_length = 16;
   cfg.max_length = 64;
   cfg.stop_on_valid = false;
-  cfg.eval_batch_width = 8;
   ga::Engine<domains::Hanoi> engine(h, cfg);
   gaplan::util::Rng rng(23);
   engine.run_phase(h.initial_state(), rng, false);
@@ -229,15 +229,17 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
   // Every individual decodes through a kernel lane on this domain.
   EXPECT_GE(counter_value("eval.simd_lanes_used"),
             counter_value("eval.batches"));
-  // The batch-width gauge reflects the configured wavefront width.
-  const auto* bw = snap.find_gauge("eval.batch_width");
-  ASSERT_NE(bw, nullptr);
-  EXPECT_EQ(bw->value, 8);
+  // The vector-step counter that lane occupancy is computed from; it only
+  // moves where the CPU runs the AVX-512 decode.
+  ASSERT_NE(snap.find_counter("eval.simd_steps"), nullptr);
+  if (gaplan::util::has_avx512_decode()) {
+    EXPECT_GT(counter_value("eval.simd_steps"), 0u);
+  }
 
   const std::string text = obs::render_metrics_prometheus(snap);
   EXPECT_NE(text.find("gaplan_eval_batches_total"), std::string::npos);
   EXPECT_NE(text.find("gaplan_eval_simd_lanes_used_total"), std::string::npos);
-  EXPECT_NE(text.find("gaplan_eval_batch_width"), std::string::npos);
+  EXPECT_NE(text.find("gaplan_eval_simd_steps_total"), std::string::npos);
 }
 
 TEST(Metrics, LatencyBucketsAreSane) {

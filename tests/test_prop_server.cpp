@@ -278,7 +278,6 @@ TEST(PropServer, FingerprintIsStableAndDiscriminating) {
         {
           PlanRequest r = req;
           r.config.incremental_eval = !r.config.incremental_eval;
-          r.config.eval_batch_width = r.config.eval_batch_width == 1 ? 8 : 1;
           EXPECT_EQ(PlanService::fingerprint(r), fp)
               << "evaluation strategy leaked into the cache key";
         }

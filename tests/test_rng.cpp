@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -123,6 +124,27 @@ TEST(Rng, ChanceFrequencyTracksP) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.chance(0.3);
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+TEST(Rng, ChanceThresholdDrawsLikeChance) {
+  // chance_below(chance_threshold(p)) must consume the same draw and return
+  // the same result as uniform() < p, on one fixed stream, including at the
+  // exact boundary integers around the threshold.
+  for (const double p : {0.0, 0x1.0p-53, 0.01, 0.5, std::nextafter(1.0, 0.0),
+                         1.0}) {
+    Rng a(47);
+    Rng b(47);
+    const std::uint64_t t = Rng::chance_threshold(p);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(a.chance_below(t), b.uniform() < p) << "p=" << p << " i=" << i;
+    }
+    EXPECT_EQ(a(), b()) << "streams diverged, p=" << p;
+    for (std::uint64_t k = t > 2 ? t - 2 : 0; k <= t + 1 && k < (1ull << 53);
+         ++k) {
+      EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+          << "p=" << p << " k=" << k;
+    }
+  }
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -121,30 +121,25 @@ TEST(ThreadPool, TrySubmitHonorsBacklogBound) {
 }
 
 TEST(ThreadPool, GrainForScalesDownOnTinyInputs) {
-  // Plenty of work: the grain is the full batch width.
-  EXPECT_EQ(ThreadPool::grain_for(256, 8, 4), 8u);
-  // Tiny population: the grain shrinks to ~n/workers so every worker gets a
-  // chunk instead of one worker chewing several batches while others idle.
-  EXPECT_EQ(ThreadPool::grain_for(8, 8, 4), 2u);
-  EXPECT_EQ(ThreadPool::grain_for(4, 8, 4), 1u);
+  // One chunk of ~n/workers per worker.
+  EXPECT_EQ(ThreadPool::grain_for(256, 4), 64u);
+  // Tiny population: the grain shrinks so every worker still gets a chunk.
+  EXPECT_EQ(ThreadPool::grain_for(8, 4), 2u);
+  EXPECT_EQ(ThreadPool::grain_for(4, 4), 1u);
   // Degenerate inputs clamp sanely: n = 0 yields 1, zero workers behaves
-  // like a single worker (whole range in one chunk, capped by B).
-  EXPECT_EQ(ThreadPool::grain_for(0, 8, 4), 1u);
-  EXPECT_EQ(ThreadPool::grain_for(3, 8, 0), 3u);
-  EXPECT_EQ(ThreadPool::grain_for(16, 1, 4), 1u);
-  // Single worker: grain capped by batch width only.
-  EXPECT_EQ(ThreadPool::grain_for(100, 8, 1), 8u);
+  // like a single worker (whole range in one chunk).
+  EXPECT_EQ(ThreadPool::grain_for(0, 4), 1u);
+  EXPECT_EQ(ThreadPool::grain_for(3, 0), 3u);
+  EXPECT_EQ(ThreadPool::grain_for(100, 1), 100u);
 }
 
 TEST(ThreadPool, ParallelForRangesNoWorkerStarvesOnTinyPopulation) {
-  // Regression for the batched evaluator on small populations: with n = 8,
-  // B = 8 and 4 workers, a naive grain of B would make one chunk of 8 and
-  // leave three workers idle. grain_for must split the range so the chunk
-  // count reaches the worker count, every index runs exactly once, and no
-  // chunk exceeds the grain.
+  // Small populations: with n = 8 and 4 workers, grain_for must split the
+  // range so the chunk count reaches the worker count, every index runs
+  // exactly once, and no chunk exceeds the grain.
   ThreadPool pool(4);
   const std::size_t n = 8;
-  const std::size_t grain = ThreadPool::grain_for(n, 8, pool.thread_count());
+  const std::size_t grain = ThreadPool::grain_for(n, pool.thread_count());
   EXPECT_EQ(grain, 2u);
 
   std::mutex mu;
@@ -188,6 +183,47 @@ TEST(ThreadPool, ParallelForRangesPropagatesExceptions) {
                    },
                    4),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelDealRunsEachIndexOnce) {
+  // The kernel decoder deals its lane groups this way: every index runs
+  // exactly once, on at most thread_count() threads at a time.
+  ThreadPool pool(4);
+  const std::size_t n = 37;
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<int> live{0};
+  std::atomic<int> peak{0};
+  pool.parallel_deal(n, [&](std::size_t i) {
+    const int now = live.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    hits[i].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    live.fetch_sub(1);
+  });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_LE(peak.load(), 4);
+  pool.parallel_deal(0, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(ThreadPool, ParallelDealSerialInOrderOnSingleWorker) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  pool.parallel_deal(5, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, ParallelDealPropagatesExceptions) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_deal(20,
+                                  [&](std::size_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 5) throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 6);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
