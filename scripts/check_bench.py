@@ -106,7 +106,7 @@ SOA_SPEEDUP_FLOOR = 1.5
 
 def validate_eval(doc, errors):
     for key in ("workload", "configs", "speedup_evals_per_sec",
-                "speedup_evals_per_sec_soa", "sokoban_cache"):
+                "speedup_evals_per_sec_soa", "sokoban_cache", "workflow_cache"):
         if key not in doc:
             errors.append(f"missing top-level key '{key}'")
 
@@ -141,6 +141,26 @@ def validate_eval(doc, errors):
             errors.append(f"sokoban_cache.cache_hit_rate invalid: {rate!r}")
     elif sok is not None:
         errors.append("'sokoban_cache' is not a JSON object")
+
+    # The workflow cache block A/Bs the valid-ops cache on one trajectory:
+    # both sides must have run the same evaluations.
+    wf = doc.get("workflow_cache")
+    if isinstance(wf, dict):
+        rate = wf.get("cache_hit_rate")
+        if not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
+            errors.append(f"workflow_cache.cache_hit_rate invalid: {rate!r}")
+        sides = [wf.get(k) for k in ("cache", "no_cache")]
+        if not all(isinstance(x, dict) for x in sides):
+            errors.append("workflow_cache needs 'cache' and 'no_cache' objects")
+        elif sides[0].get("evaluations") != sides[1].get("evaluations"):
+            errors.append("workflow_cache: cache and no_cache ran different "
+                          "trajectories (evaluations differ)")
+        ratio = wf.get("speedup_evals_per_sec_median")
+        if not isinstance(ratio, (int, float)) or ratio <= 0:
+            errors.append(
+                f"workflow_cache.speedup_evals_per_sec_median invalid: {ratio!r}")
+    elif wf is not None:
+        errors.append("'workflow_cache' is not a JSON object")
 
     if not errors and isinstance(speedup, (int, float)):
         print(f"check_bench: OK (bench_eval) — speedup {speedup:.2f}x, "

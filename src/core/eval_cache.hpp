@@ -3,7 +3,8 @@
 // operation list.
 //
 // The cache attacks the dominant decode cost in domains whose valid_ops is
-// expensive (Sokoban's player-reachability BFS, strips' applicability scan):
+// expensive (Sokoban's player-reachability BFS, strips' applicability scan,
+// the grid workflow's program × machine scan over its pool snapshot):
 // GA populations revisit the same states constantly — every genome decodes
 // from the same phase start state, and crossover/mutation leave long shared
 // prefixes — so the hit rate is high. Entries store the full state and are
@@ -16,7 +17,9 @@
 // so the batch decoder never probes here. Kernel-less domains decode per slot
 // through evaluate_resume and keep using these contexts; there the cache
 // pays for itself (Sokoban at gaplan_serve's tuning ran 2.3-2.6x slower with
-// ops_cache_size=0 on a 4-vCPU AVX-512 VM).
+// ops_cache_size=0 on a 4-vCPU AVX-512 VM; the genomics grid workflow at
+// workflow_cli's GA settings hits 99.96% of lookups and ran 2.2x the median
+// evals/s of ops_cache_size=0, BENCH_eval.json "workflow_cache").
 //
 // Contexts are thread-local (one writer, no synchronization) and tagged with
 // the (problem address, engine epoch) pair they were filled for; sync()

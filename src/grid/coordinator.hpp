@@ -62,8 +62,10 @@ struct CoordinatorOptions {
 
 class Coordinator {
  public:
-  /// `pool` is mutated as disruptions take effect (it is the same pool the
-  /// planner reads, so a subsequent re-plan sees the degraded grid).
+  /// `pool` is mutated as disruptions take effect (it is the pool the
+  /// planner snapshots, so a subsequent re-plan sees the degraded grid).
+  /// Task durations come from problem.execution_seconds, which reads the
+  /// live pool.
   Coordinator(const WorkflowProblem& problem, ResourcePool& pool,
               CoordinatorOptions options = {})
       : problem_(&problem), pool_(&pool), options_(options) {}

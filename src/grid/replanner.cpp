@@ -80,12 +80,17 @@ std::uint64_t attempt_seed(std::uint64_t base, std::size_t round,
 /// hand the graph to the coordinator. `round_idx` 0 is the initial plan;
 /// later rounds are re-plans reacting to a resource change, and their GA
 /// latency (plan_ms) is the paper's change-to-new-plan reaction time.
-PlanningRound run_round(const WorkflowProblem& problem, ResourcePool& pool,
+PlanningRound run_round(const WorkflowProblem& base, ResourcePool& pool,
                         const util::DynamicBitset& data,
                         const std::vector<Disruption>& disruptions, double time,
                         const ReplanConfig& cfg,
                         const CoordinatorOptions& options,
                         std::size_t round_idx, obs::SpanContext parent) {
+  // Plan on a snapshot of the grid as it is now, so disruptions delivered
+  // since the last round reach the planner. The pool changes only after the
+  // GA attempts, so the snapshot is exact for every attempt, for plan_cost
+  // and for the activity graph.
+  const WorkflowProblem problem = base.resnapshot();
   PlanningRound round;
   obs::ScopedSpan span("replan", parent);
 

@@ -127,8 +127,10 @@ bool try_plan_graph(const WorkflowProblem& problem,
 
 /// Plans and executes `problem`'s workflow to completion, re-planning after
 /// every aborted execution. `pool` is the live grid (mutated by disruptions);
-/// it must be the pool `problem` was built over. `disruptions` is the full
-/// timed scenario (sorted by time).
+/// it must be the pool `problem` was built over. Every planning round plans
+/// on a fresh snapshot of it (WorkflowProblem::resnapshot), so `problem`'s
+/// own snapshot is never read. `disruptions` is the full timed scenario
+/// (sorted by time).
 /// `parent` attaches every planning round's replan span (and the grid_execute
 /// / GA-run spans beneath it) to a caller's trace — a served workflow request
 /// passes its request context here; standalone runs omit it and each round

@@ -33,6 +33,30 @@ WorkflowProblem::WorkflowProblem(const ServiceCatalog& catalog,
     program_inputs_.push_back(std::move(in));
     program_outputs_.push_back(std::move(out));
   }
+  snapshot_pool();
+}
+
+void WorkflowProblem::snapshot_pool() {
+  machines_ = pool_->size();
+  const std::size_t ops = catalog_->program_count() * machines_;
+  op_eligible_.assign(ops, 0);
+  op_costs_.assign(ops, 0.0);
+  for (std::size_t op = 0; op < ops; ++op) {
+    const ProgramId p = op / machines_;
+    const MachineId m = op % machines_;
+    const Machine& machine = pool_->machine(m);
+    op_eligible_[op] =
+        machine.up && machine.memory_gb >= catalog_->program(p).min_memory_gb;
+    const double seconds = execution_seconds(p, m);
+    op_costs_[op] = cost_model_.money_weight * seconds * machine.cost_rate +
+                    cost_model_.time_weight * seconds;
+  }
+}
+
+WorkflowProblem WorkflowProblem::resnapshot() const {
+  WorkflowProblem copy = *this;
+  copy.snapshot_pool();
+  return copy;
 }
 
 WorkflowProblem::StateT WorkflowProblem::make_state(
@@ -49,20 +73,21 @@ WorkflowProblem::StateT WorkflowProblem::make_state(
 
 bool WorkflowProblem::op_applicable(const StateT& s, int op) const {
   if (op < 0 || static_cast<std::size_t>(op) >= op_count()) return false;
+  if (!op_eligible_[static_cast<std::size_t>(op)]) return false;
   const ProgramId p = op_program(op);
-  const MachineId m = op_machine(op);
-  const Machine& machine = pool_->machine(m);
-  if (!machine.up) return false;
-  if (machine.memory_gb < catalog_->program(p).min_memory_gb) return false;
-  if (!s.contains_all(program_inputs_[p])) return false;
   // Prune operations that cannot add anything new.
-  return !s.contains_all(program_outputs_[p]);
+  return s.contains_all(program_inputs_[p]) && !s.contains_all(program_outputs_[p]);
 }
 
 void WorkflowProblem::valid_ops(const StateT& s, std::vector<int>& out) const {
   out.clear();
-  for (int op = 0; op < static_cast<int>(op_count()); ++op) {
-    if (op_applicable(s, op)) out.push_back(op);
+  for (std::size_t p = 0; p < program_inputs_.size(); ++p) {
+    if (!s.contains_all(program_inputs_[p]) || s.contains_all(program_outputs_[p])) {
+      continue;
+    }
+    for (std::size_t op = p * machines_; op < (p + 1) * machines_; ++op) {
+      if (op_eligible_[op]) out.push_back(static_cast<int>(op));
+    }
   }
 }
 
@@ -81,11 +106,7 @@ double WorkflowProblem::execution_seconds(ProgramId program, MachineId machine) 
 }
 
 double WorkflowProblem::op_cost(const StateT&, int op) const {
-  const ProgramId p = op_program(op);
-  const MachineId m = op_machine(op);
-  const double seconds = execution_seconds(p, m);
-  return cost_model_.money_weight * seconds * pool_->machine(m).cost_rate +
-         cost_model_.time_weight * seconds;
+  return op_costs_[static_cast<std::size_t>(op)];
 }
 
 std::string WorkflowProblem::op_label(const StateT&, int op) const {

@@ -11,6 +11,7 @@
 // program at lower costs" argument of §1.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,22 +31,40 @@ struct WorkflowCostModel {
   double time_weight = 0.0;
 };
 
+/// The workflow as a PlanningProblem over data states, planned against a
+/// snapshot of the pool rather than the live pool. At construction (and in
+/// resnapshot()) the problem records, per op, whether the machine is up with
+/// enough memory and what the op costs under the current load. valid_ops,
+/// op_applicable and op_cost read only those tables, so valid_ops is a pure
+/// function of the state and the problem opts into the per-thread valid-ops
+/// cache (kCacheableOps). execution_seconds stays live: the coordinator and
+/// the activity graph time tasks under the load at execution time. The
+/// workflow manager re-snapshots the live pool at the start of every planning
+/// round (grid/replanner.hpp). The catalog and the pool must outlive the
+/// problem and every copy of it.
 class WorkflowProblem {
  public:
   using StateT = util::DynamicBitset;
+  /// valid_ops reads the pool snapshot only.
+  static constexpr bool kCacheableOps = true;
 
-  /// `initial_data`/`goal_data` are data-item ids. The catalog and pool must
-  /// outlive the problem.
+  /// `initial_data`/`goal_data` are data-item ids. The pool's machines (up,
+  /// memory, load) are snapshotted here; later changes to it reach the
+  /// planner only through resnapshot().
   WorkflowProblem(const ServiceCatalog& catalog, const ResourcePool& pool,
                   std::vector<DataId> initial_data, std::vector<DataId> goal_data,
                   WorkflowCostModel cost_model = {});
 
+  /// A copy of this problem planning against the pool as it is now.
+  WorkflowProblem resnapshot() const;
+
   // --- PlanningProblem concept ----------------------------------------------
   StateT initial_state() const { return initial_; }
 
-  /// Canonical op id = program_id * pool.size() + machine_id. Operations
-  /// whose outputs already all exist are pruned (they cannot progress the
-  /// plan), which keeps the monotone search space finite.
+  /// Canonical op id = program_id * pool.size() + machine_id, listed in
+  /// ascending order. Operations whose outputs already all exist are pruned
+  /// (they cannot progress the plan), which keeps the monotone search space
+  /// finite.
   void valid_ops(const StateT& s, std::vector<int>& out) const;
 
   void apply(StateT& s, int op) const;
@@ -56,16 +75,17 @@ class WorkflowProblem {
   std::uint64_t hash(const StateT& s) const { return s.hash(); }
   // --- DirectEncodable --------------------------------------------------------
   std::size_t op_count() const noexcept {
-    return catalog_->program_count() * pool_->size();
+    return catalog_->program_count() * machines_;
   }
   bool op_applicable(const StateT& s, int op) const;
   // ----------------------------------------------------------------------------
 
-  ProgramId op_program(int op) const { return static_cast<std::size_t>(op) / pool_->size(); }
-  MachineId op_machine(int op) const { return static_cast<std::size_t>(op) % pool_->size(); }
+  ProgramId op_program(int op) const { return static_cast<std::size_t>(op) / machines_; }
+  MachineId op_machine(int op) const { return static_cast<std::size_t>(op) % machines_; }
 
-  /// Execution seconds of `program` on `machine` under its current load,
-  /// including input staging time. Infinite if the machine is down.
+  /// Execution seconds of `program` on `machine` under the live pool's
+  /// current load, including input staging time. Infinite if the machine is
+  /// down.
   double execution_seconds(ProgramId program, MachineId machine) const;
 
   const ServiceCatalog& catalog() const noexcept { return *catalog_; }
@@ -86,6 +106,13 @@ class WorkflowProblem {
   /// Precomputed per-program input/output bitsets for fast applicability.
   std::vector<util::DynamicBitset> program_inputs_;
   std::vector<util::DynamicBitset> program_outputs_;
+  /// The pool snapshot, indexed by canonical op id: whether the machine is
+  /// up and meets the program's memory requirement, and the op's cost.
+  std::size_t machines_ = 0;
+  std::vector<std::uint8_t> op_eligible_;
+  std::vector<double> op_costs_;
+
+  void snapshot_pool();
 };
 
 }  // namespace gaplan::grid

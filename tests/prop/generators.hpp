@@ -21,6 +21,7 @@
 #include "domains/pocket_cube.hpp"
 #include "domains/sliding_tile.hpp"
 #include "domains/sokoban.hpp"
+#include "grid/scenario.hpp"
 #include "prop/prop.hpp"
 #include "server/wire.hpp"
 #include "util/rng.hpp"
@@ -128,18 +129,20 @@ inline std::string show_config(const ga::GaConfig& cfg) { return cfg.summary(); 
 // ---------------------------------------------------------------------------
 // Domains
 
-/// One planning problem drawn from the four fuzzable families, pre-built with
+/// One planning problem drawn from the fuzzable families, pre-built with
 /// a seeded start state. Held by shared_ptr so a case value is copyable.
 struct DomainCase {
   std::string label;
-  /// Keeps encoder state the problem points into alive (strips::Problem
-  /// borrows its Domain from the HanoiStrips builder).
+  /// Keeps what the problem points into alive (strips::Problem borrows its
+  /// Domain from the HanoiStrips builder; a WorkflowProblem its catalog and
+  /// pool).
   std::shared_ptr<void> owner;
   std::variant<std::shared_ptr<domains::Hanoi>,
                std::shared_ptr<domains::SlidingTile>,
                std::shared_ptr<domains::PocketCube>,
                std::shared_ptr<strips::Problem>,
-               std::shared_ptr<domains::Sokoban>>
+               std::shared_ptr<domains::Sokoban>,
+               std::shared_ptr<grid::WorkflowProblem>>
       problem;
 
   /// Calls fn(problem_ref) with the concrete domain type.
@@ -148,6 +151,32 @@ struct DomainCase {
     std::visit([&](const auto& p) { fn(*p); }, problem);
   }
 };
+
+/// A random layered grid workflow on a random heterogeneous pool, with a
+/// machine sometimes loaded or down before the problem snapshots the pool.
+inline DomainCase random_workflow(util::Rng& rng) {
+  struct Grid {
+    grid::Scenario scenario;
+    grid::ResourcePool pool;
+  };
+  auto g = std::make_shared<Grid>();
+  const std::size_t layers = 2 + rng.below(3);
+  const std::size_t width = 2 + rng.below(2);
+  g->scenario = grid::random_layered(layers, width, 1 + rng.below(2), rng);
+  g->pool = grid::ResourcePool::random_pool(2 + rng.below(4), 8.0, rng);
+  if (rng.chance(0.5)) {
+    const grid::MachineId m = rng.below(g->pool.size());
+    g->pool.set_load(m, rng.uniform(0.0, 4.0));
+  }
+  if (rng.chance(0.3)) g->pool.set_up(rng.below(g->pool.size()), false);
+  DomainCase c;
+  c.label = "workflow(layers=" + std::to_string(layers) +
+            " width=" + std::to_string(width) +
+            " machines=" + std::to_string(g->pool.size()) + ")";
+  c.problem = std::make_shared<grid::WorkflowProblem>(g->scenario.problem(g->pool));
+  c.owner = std::move(g);
+  return c;
+}
 
 inline DomainCase random_domain(util::Rng& rng) {
   DomainCase c;
@@ -185,15 +214,21 @@ inline DomainCase random_domain(util::Rng& rng) {
       break;
     }
     default: {
-      c.label = "sokoban";
-      c.problem = std::make_shared<domains::Sokoban>(std::vector<std::string>{
-          "#######",
-          "#.....#",
-          "#.$.$.#",
-          "#..@..#",
-          "#.o.o.#",
-          "#######",
-      });
+      // The kernel-less cacheable domains share the last draw, so a seed
+      // that drew one of the other families still draws it.
+      if (rng.chance(0.5)) {
+        c.label = "sokoban";
+        c.problem = std::make_shared<domains::Sokoban>(std::vector<std::string>{
+            "#######",
+            "#.....#",
+            "#.$.$.#",
+            "#..@..#",
+            "#.o.o.#",
+            "#######",
+        });
+      } else {
+        c = random_workflow(rng);
+      }
       break;
     }
   }

@@ -8,6 +8,7 @@
 // shrinking and GAPLAN_PROP_SEED replay.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/decoder.hpp"
@@ -16,6 +17,8 @@
 #include "domains/hanoi.hpp"
 #include "domains/hanoi_strips.hpp"
 #include "domains/sokoban.hpp"
+#include "grid/scenario_reader.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -175,6 +178,39 @@ TEST(IncrementalEngineParity, StripsPooled) {
   cfg.generations = 15;
   util::ThreadPool pool(3);
   expect_same_runs(problem, cfg, 113, &pool);
+}
+
+// The grid workflow is kernel-less: the incremental run decodes slot by slot
+// through the valid-ops cache, at workflow_cli's GA settings.
+void expect_same_genomics_runs(std::uint64_t seed, util::ThreadPool* pool) {
+  const auto file = grid::parse_scenario_file(std::string(GAPLAN_ASSET_DIR) +
+                                              "/genomics_pipeline.grid");
+  const auto problem = file.problem();
+  ga::GaConfig cfg;
+  cfg.population_size = 100;
+  cfg.generations = 60;
+  cfg.initial_length = file.scenario.catalog.program_count();
+  cfg.max_length = 8 * cfg.initial_length;
+  cfg.crossover = ga::CrossoverKind::kMixed;
+  cfg.cost_fitness = ga::CostFitnessKind::kInverseCost;
+  cfg.stop_on_valid = false;
+  const auto hits = [] {
+    const auto snap = obs::snapshot_metrics();
+    const auto* c = snap.find_counter("eval.cache_hits");
+    return c != nullptr ? c->value : 0;
+  };
+  const auto hits_before = hits();
+  expect_same_runs(problem, cfg, seed, pool);
+  EXPECT_GT(hits(), hits_before) << "the incremental run never hit the cache";
+}
+
+TEST(IncrementalEngineParity, GenomicsWorkflowSerial) {
+  expect_same_genomics_runs(131, nullptr);
+}
+
+TEST(IncrementalEngineParity, GenomicsWorkflowPooled) {
+  util::ThreadPool pool(4);
+  expect_same_genomics_runs(137, &pool);
 }
 
 TEST(IncrementalEngineParity, NoTruncateRouletteUniform) {

@@ -1,6 +1,8 @@
 // The workflow planning problem over heterogeneous machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/multiphase.hpp"
 #include "core/problem.hpp"
 #include "grid/scenario.hpp"
@@ -13,6 +15,7 @@ using namespace gaplan::grid;
 
 static_assert(ga::PlanningProblem<WorkflowProblem>);
 static_assert(ga::DirectEncodable<WorkflowProblem>);
+static_assert(ga::CacheableOps<WorkflowProblem>);
 
 struct PipelineFixture {
   Scenario scenario = image_pipeline();
@@ -58,10 +61,25 @@ TEST(Workflow, MemoryRequirementFiltersMachines) {
 
 TEST(Workflow, DownMachineExcluded) {
   PipelineFixture f;
+  std::vector<int> healthy;
+  f.problem.valid_ops(f.problem.initial_state(), healthy);
+  ASSERT_TRUE(std::any_of(healthy.begin(), healthy.end(), [&](int op) {
+    return f.problem.op_machine(op) == 1u;
+  }));
   f.pool.set_up(1, false);
+  // A problem planning after the failure, re-snapshotted or built anew,
+  // leaves the down machine out.
+  for (const WorkflowProblem& problem :
+       {f.problem.resnapshot(), f.scenario.problem(f.pool)}) {
+    std::vector<int> ops;
+    problem.valid_ops(problem.initial_state(), ops);
+    EXPECT_FALSE(ops.empty());
+    for (const int op : ops) EXPECT_NE(problem.op_machine(op), 1u);
+  }
+  // The problem built before the failure keeps its snapshot.
   std::vector<int> ops;
   f.problem.valid_ops(f.problem.initial_state(), ops);
-  for (const int op : ops) EXPECT_NE(f.problem.op_machine(op), 1u);
+  EXPECT_EQ(ops, healthy);
 }
 
 TEST(Workflow, SatisfiedOutputsPruneOps) {
@@ -94,10 +112,12 @@ TEST(Workflow, CostReflectsHeterogeneity) {
   const double fast = f.problem.op_cost(s, 0);  // m0 fast-eu
   const double slow = f.problem.op_cost(s, 2);  // m2 slow-campus
   EXPECT_NE(fast, slow);
-  // Overloading a machine raises its execution time and thus its cost.
+  // Overloading a machine raises its execution time and thus the cost a
+  // re-snapshot plans with; the earlier snapshot keeps its cost.
   const double before = f.problem.op_cost(s, 1);
   f.pool.set_load(1, 4.0);
-  EXPECT_GT(f.problem.op_cost(s, 1), before);
+  EXPECT_GT(f.problem.resnapshot().op_cost(s, 1), before);
+  EXPECT_EQ(f.problem.op_cost(s, 1), before);
 }
 
 TEST(Workflow, ExecutionSecondsInfiniteWhenDown) {
@@ -133,19 +153,26 @@ TEST(Workflow, GaPlansThePipeline) {
 
 TEST(Workflow, GaAvoidsDownMachines) {
   PipelineFixture f;
+  std::vector<int> healthy;
+  f.problem.valid_ops(f.problem.initial_state(), healthy);
   f.pool.set_up(0, false);
   f.pool.set_up(1, false);
+  const WorkflowProblem degraded = f.scenario.problem(f.pool);
   ga::GaConfig cfg;
   cfg.population_size = 80;
   cfg.generations = 40;
   cfg.phases = 3;
   cfg.initial_length = 8;
   cfg.max_length = 32;
-  const auto result = ga::run_multiphase(f.problem, cfg, 22);
+  const auto result = ga::run_multiphase(degraded, cfg, 22);
   ASSERT_TRUE(result.valid);
   for (const int op : result.plan) {
-    EXPECT_GE(f.problem.op_machine(op), 2u);
+    EXPECT_GE(degraded.op_machine(op), 2u);
   }
+  // The problem built before the failures still offers machines 0 and 1.
+  std::vector<int> ops;
+  f.problem.valid_ops(f.problem.initial_state(), ops);
+  EXPECT_EQ(ops, healthy);
 }
 
 TEST(Workflow, RejectsBadConstruction) {
