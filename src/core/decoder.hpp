@@ -10,15 +10,24 @@
 // system "stays at the current state" (Eq. 1's match-fitness denominator
 // counts it as a mismatch).
 //
-// The indirect decoder is the planner's hot kernel, so it comes in three
-// entry points sharing one loop:
-//   * decode_indirect        — legacy by-value API (tests, one-off decodes)
-//   * decode_indirect_into   — cold decode into a recycled Evaluation, with
-//                              optional valid-ops transposition caching
+// The indirect decoder is the planner's hot kernel. It has one core — a
+// resume head (indirect_resume_head), an ops-identical fast-forward
+// (indirect_fast_forward), a scalar decode loop (indirect_decode_loop) and a
+// finish (indirect_decode_finish) — templated on where a state's valid-op set
+// and its crossover signature come from:
+//   * ProblemOps — the problem's valid_ops, through the EvalContext's
+//                  transposition cache when enabled, hashed by ops_signature;
+//   * LutOps     — a SIMD kernel's packed-ops LUT, with the signature looked
+//                  up in KernelBatchDecoder's per-slot table.
+// Entry points:
+//   * decode_indirect        — by-value API (tests, one-off decodes)
+//   * decode_indirect_into   — cold decode into a recycled Evaluation
 //   * decode_indirect_resume — incremental re-decode: restart from the
 //                              checkpointed state nearest the first gene that
 //                              crossover/mutation changed, bit-identical to a
 //                              cold decode of the same genome
+//   * KernelBatchDecoder::run — a whole generation on a kernel domain, in
+//                              sorted 8-lane groups
 #pragma once
 
 #include <algorithm>
@@ -96,51 +105,95 @@ struct DecodeTally {
   }
 };
 
-/// Resolves the valid-operation list of `s`, through the transposition cache
-/// when one is supplied. `hash` is the state's hash when already known
-/// (kHashUnknown otherwise; it is only computed if the cache needs it).
-/// The ops view stays valid until the next call; `sig` is
-/// ops_signature(ops), memoized in the cache so hits skip the hash loop —
-/// it is only computed when `want_sig` is set or the entry is cached.
-inline constexpr std::uint64_t kHashUnknown = ~std::uint64_t{0};
-
-struct ResolvedOps {
-  std::span<const int> ops;
-  std::uint64_t sig;
+/// Which trajectory columns a decode records. The per-slot decoders record
+/// both iff DecodeOptions::record_hashes; the kernel decoder drops the state
+/// hashes when nothing reads them (only exact-state matching does).
+struct Recording {
+  bool hashes = true;  ///< Evaluation::state_hashes
+  bool sigs = true;    ///< Evaluation::op_signatures
 };
 
+/// Passed as a state's hash when it is not known yet.
+inline constexpr std::uint64_t kHashUnknown = ~std::uint64_t{0};
+
+/// Op source over the problem itself: valid_ops through the transposition
+/// cache when one is supplied. resolve()'s `hash` is the state's hash when
+/// already known (it is only computed if the cache needs it); the returned
+/// ops view stays valid until the next call, and its `sig` is
+/// ops_signature(ops), memoized in the cache so hits skip the hash loop — it
+/// is only computed when `want_sig` is set or the entry is cached.
 template <PlanningProblem P>
-ResolvedOps resolve_valid_ops(const P& problem, const typename P::StateT& s,
-                              std::uint64_t hash, bool want_sig,
-                              std::vector<int>& scratch,
-                              OpsCache<typename P::StateT>* cache,
-                              DecodeTally& tally) {
-  if (cache != nullptr && cache->enabled()) {
-    const std::uint64_t h = hash == kHashUnknown ? problem.hash(s) : hash;
-    if (const auto* hit = cache->find(h, s)) {
-      ++tally.cache_hits;
-      return {hit->ops(), hit->sig};
+struct ProblemOps {
+  using State = typename P::StateT;
+
+  struct Resolved {
+    std::span<const int> ops;
+    std::uint64_t sig;
+    std::size_t size() const noexcept { return ops.size(); }
+    int op(std::size_t idx) const noexcept { return ops[idx]; }
+  };
+
+  const P& problem;
+  std::vector<int>& scratch;
+  OpsCache<State>* cache;
+
+  Resolved resolve(const State& s, std::uint64_t hash, bool want_sig,
+                   DecodeTally& tally) const {
+    if (cache != nullptr && cache->enabled()) {
+      const std::uint64_t h = hash == kHashUnknown ? problem.hash(s) : hash;
+      if (const auto* hit = cache->find(h, s)) {
+        ++tally.cache_hits;
+        return {hit->ops(), hit->sig};
+      }
+      problem.valid_ops(s, scratch);
+      ++tally.cache_misses;
+      const auto* e = cache->insert(h, s, scratch, ops_signature(scratch));
+      return {e->ops(), e->sig};
     }
     problem.valid_ops(s, scratch);
-    ++tally.cache_misses;
-    const auto* e = cache->insert(h, s, scratch, ops_signature(scratch));
-    return {e->ops(), e->sig};
+    return {scratch, want_sig ? ops_signature(scratch) : 0};
   }
-  problem.valid_ops(s, scratch);
-  return {scratch, want_sig ? ops_signature(scratch) : 0};
-}
+  void apply(State& s, int op) const { problem.apply(s, op); }
+  double op_cost(const State& s, int op) const {
+    return problem.op_cost(s, op);
+  }
+  std::uint64_t hash(const State& s) const { return problem.hash(s); }
+  bool is_goal(const State& s) const { return problem.is_goal(s); }
+};
 
-/// The shared indirect-decode loop: consumes genes[from..) with `s` holding
-/// the trajectory state at position `from` and `ev` holding a consistent
-/// prefix (ops/hashes/signatures/checkpoints/plan_cost for positions < from).
-template <PlanningProblem P>
-void indirect_decode_loop(const P& problem, std::span<const Gene> genes,
+/// Op source over a SIMD kernel (SimdDecodable): the packed-ops LUT yields a
+/// state's operation set as one 64-bit word, and `sig` — one ops_signature
+/// per LUT slot — its signature, so neither is enumerated nor hashed.
+template <typename K>
+struct LutOps {
+  struct Resolved {
+    PackedOps po;
+    std::uint64_t sig;
+    std::size_t size() const noexcept { return po.m; }
+    int op(std::size_t idx) const noexcept { return po.op(idx); }
+  };
+
+  const K& kernel;
+  const std::uint64_t* sig;
+
+  Resolved resolve(const auto& s, std::uint64_t, bool, DecodeTally&) const {
+    const std::uint32_t li = kernel.lut_index(s);
+    return {{kernel.lut_ops(li), kernel.lut_count(li)}, sig[li]};
+  }
+  void apply(auto& s, int op) const { kernel.apply(s, op); }
+  double op_cost(const auto& s, int op) const { return kernel.op_cost(s, op); }
+  std::uint64_t hash(const auto& s) const { return kernel.hash(s); }
+  bool is_goal(const auto& s) const { return kernel.is_goal(s); }
+};
+
+/// The indirect-decode loop: consumes genes[from..) with `s` holding the
+/// trajectory state at position `from` and `ev` holding a consistent prefix
+/// (ops/hashes/signatures/checkpoints/plan_cost for positions < from).
+template <typename Src, typename State>
+void indirect_decode_loop(const Src& src, std::span<const Gene> genes,
                           std::size_t from, const DecodeOptions& opt,
-                          std::vector<int>& scratch,
-                          OpsCache<typename P::StateT>* cache,
-                          DecodeTally& tally,
-                          Evaluation<typename P::StateT>& ev,
-                          typename P::StateT& s) {
+                          Recording rec, DecodeTally& tally,
+                          Evaluation<State>& ev, State& s) {
   // Ops-until-next-checkpoint countdown: checkpoints land where
   // ops.size() % stride == 0, and a runtime-divisor modulo per decoded op is
   // measurable on trivial domains.
@@ -148,36 +201,39 @@ void indirect_decode_loop(const P& problem, std::span<const Gene> genes,
   if (opt.checkpoint_stride != 0) {
     until_ckpt = opt.checkpoint_stride - from % opt.checkpoint_stride;
   }
+  // The running cost stays in a register: ev's vectors may reallocate, and
+  // the compiler cannot prove that leaves ev.plan_cost alone.
+  double cost = ev.plan_cost;
   for (std::size_t i = from; i < genes.size(); ++i) {
     const std::uint64_t cur_hash =
-        opt.record_hashes ? ev.state_hashes.back() : kHashUnknown;
-    const ResolvedOps res = resolve_valid_ops(problem, s, cur_hash,
-                                              opt.record_hashes, scratch,
-                                              cache, tally);
+        rec.hashes ? ev.state_hashes.back() : kHashUnknown;
+    const auto res = src.resolve(s, cur_hash, rec.sigs, tally);
     // Signature of the state the upcoming gene decodes in (position ops()).
-    if (opt.record_hashes && ev.op_signatures.size() < ev.state_hashes.size()) {
+    // After a fast-forward divergence it is already recorded.
+    if (rec.sigs && ev.op_signatures.size() <= ev.ops.size()) {
       ev.op_signatures.push_back(res.sig);
     }
-    if (res.ops.empty()) {  // dead end: remaining genes are inert
+    if (res.size() == 0) {  // dead end: remaining genes are inert
       ev.dead_end = true;
       break;
     }
-    const int op = res.ops[gene_to_index(genes[i], res.ops.size())];
-    ev.plan_cost += problem.op_cost(s, op);
-    problem.apply(s, op);
+    const int op = res.op(gene_to_index(genes[i], res.size()));
+    cost += src.op_cost(s, op);
+    src.apply(s, op);
     ev.ops.push_back(op);
     ++tally.ops_decoded;
-    if (opt.record_hashes) ev.state_hashes.push_back(problem.hash(s));
+    if (rec.hashes) ev.state_hashes.push_back(src.hash(s));
     if (--until_ckpt == 0) {
       ev.checkpoint_states.push_back(s);
-      ev.checkpoint_costs.push_back(ev.plan_cost);
+      ev.checkpoint_costs.push_back(cost);
       until_ckpt = opt.checkpoint_stride;
     }
-    if (ev.goal_index == kNoGoal && problem.is_goal(s)) {
+    if (ev.goal_index == kNoGoal && src.is_goal(s)) {
       ev.goal_index = ev.ops.size();
       if (opt.truncate_at_goal) break;
     }
   }
+  ev.plan_cost = cost;
 }
 
 /// Ops-identical fast-forward for resumed decodes. Precondition: `ev` holds a
@@ -195,14 +251,12 @@ void indirect_decode_loop(const P& problem, std::span<const Gene> genes,
 /// Returns the position decoding should continue from; sets `done` when the
 /// decode terminated inside the fast-forward (goal truncation, dead end, or
 /// genome exhausted) and adds the skipped gene count to `skipped`.
-template <PlanningProblem P>
+template <typename Src, typename State>
 std::size_t indirect_fast_forward(
-    const P& problem, std::span<const Gene> genes,
+    const Src& src, std::span<const Gene> genes,
     std::span<const Gene> parent_genes, std::size_t from,
-    const DecodeOptions& opt, std::vector<int>& scratch,
-    OpsCache<typename P::StateT>* cache, DecodeTally& tally,
-    const Evaluation<typename P::StateT>& prev,
-    Evaluation<typename P::StateT>& ev, typename P::StateT& s,
+    const DecodeOptions& opt, Recording rec, DecodeTally& tally,
+    const Evaluation<State>& prev, Evaluation<State>& ev, State& s,
     std::size_t& skipped, bool& done) {
   const std::size_t stride = opt.checkpoint_stride;
   // Gene equality implies op equality only where prev's ops are positionally
@@ -222,10 +276,12 @@ std::size_t indirect_fast_forward(
       const std::size_t jump = kk * stride;
       if (jump > pos) {
         ev.ops.insert(ev.ops.end(), at(prev.ops, pos), at(prev.ops, jump));
-        if (opt.record_hashes) {
+        if (rec.hashes) {
           ev.state_hashes.insert(ev.state_hashes.end(),
                                  at(prev.state_hashes, pos + 1),
                                  at(prev.state_hashes, jump + 1));
+        }
+        if (rec.sigs) {
           ev.op_signatures.insert(ev.op_signatures.end(),
                                   at(prev.op_signatures, pos),
                                   at(prev.op_signatures, jump));
@@ -256,33 +312,31 @@ std::size_t indirect_fast_forward(
     // Decode the next gene exactly as the plain loop would, additionally
     // checking that it still selects prev's op at this position.
     const std::uint64_t cur_hash =
-        opt.record_hashes ? ev.state_hashes.back() : kHashUnknown;
-    const ResolvedOps res = resolve_valid_ops(problem, s, cur_hash,
-                                              opt.record_hashes, scratch,
-                                              cache, tally);
-    if (opt.record_hashes && ev.op_signatures.size() < ev.state_hashes.size()) {
+        rec.hashes ? ev.state_hashes.back() : kHashUnknown;
+    const auto res = src.resolve(s, cur_hash, rec.sigs, tally);
+    if (rec.sigs && ev.op_signatures.size() <= ev.ops.size()) {
       ev.op_signatures.push_back(res.sig);
     }
-    if (res.ops.empty()) {
+    if (res.size() == 0) {
       ev.dead_end = true;
       done = true;
       return pos;
     }
-    const int op = res.ops[gene_to_index(genes[pos], res.ops.size())];
+    const int op = res.op(gene_to_index(genes[pos], res.size()));
     if (pos >= prev.ops.size() || op != prev.ops[pos]) {
       return pos;  // diverged: the plain loop re-decodes from here on
     }
-    ev.plan_cost += problem.op_cost(s, op);
-    problem.apply(s, op);
+    ev.plan_cost += src.op_cost(s, op);
+    src.apply(s, op);
     ev.ops.push_back(op);
     ++tally.ops_decoded;
     ++pos;
-    if (opt.record_hashes) ev.state_hashes.push_back(problem.hash(s));
+    if (rec.hashes) ev.state_hashes.push_back(src.hash(s));
     if (pos % stride == 0) {
       ev.checkpoint_states.push_back(s);
       ev.checkpoint_costs.push_back(ev.plan_cost);
     }
-    if (ev.goal_index == kNoGoal && problem.is_goal(s)) {
+    if (ev.goal_index == kNoGoal && src.is_goal(s)) {
       ev.goal_index = pos;
       if (opt.truncate_at_goal) {
         done = true;
@@ -294,19 +348,142 @@ std::size_t indirect_fast_forward(
   return pos;
 }
 
-/// Post-loop bookkeeping shared by the cold and resume paths: goal
-/// truncation, signature-trajectory closure, final state.
-template <PlanningProblem P>
-void indirect_decode_finish(const P& problem, const DecodeOptions& opt,
-                            std::vector<int>& scratch,
-                            OpsCache<typename P::StateT>* cache,
-                            DecodeTally& tally,
-                            Evaluation<typename P::StateT>& ev,
-                            typename P::StateT& s) {
+/// Where indirect_resume_head leaves a decode.
+struct DecodeHead {
+  enum Kind {
+    kReused,  ///< ev is a copy of prev and complete: no loop, no finish
+    kFinish,  ///< nothing left to decode: finish ev
+    kLoop,    ///< decode genes[pos..) with the loop, then finish
+  };
+  Kind kind = kLoop;
+  std::size_t pos = 0;
+  std::size_t skipped = 0;  ///< gene positions whose re-decode was skipped
+};
+
+/// The head of every indirect decode. With a usable `prev` — an evaluation
+/// (same start, same options) of `parent_genes`, whose first `first_dirty`
+/// genes equal genes[0..first_dirty) — it reuses prev outright when prev's
+/// decode provably terminated before the first modified gene, else restarts
+/// from the checkpointed state nearest below that gene and fast-forwards
+/// through later gene runs bitwise-identical to the parent's
+/// (indirect_fast_forward; skipped when `parent_genes` is empty). Otherwise
+/// (`prev` null or unusable, or no checkpoint below the dirty gene) it sets
+/// up a cold decode from `start`. Leaves `s` at the state position `pos`
+/// decodes in.
+template <typename Src, typename State>
+DecodeHead indirect_resume_head(const Src& src, const State& start,
+                                std::span<const Gene> genes,
+                                const Evaluation<State>* prev,
+                                std::span<const Gene> parent_genes,
+                                std::size_t first_dirty,
+                                const DecodeOptions& opt, Recording rec,
+                                DecodeTally& tally, Evaluation<State>& ev,
+                                State& s) {
+  if (prev != nullptr && prev->decoded && prev != &ev &&
+      prev->checkpoint_stride == opt.checkpoint_stride &&
+      (!rec.hashes || prev->state_hashes.size() == prev->ops.size() + 1) &&
+      (!rec.sigs || prev->op_signatures.size() == prev->ops.size() + 1)) {
+    const std::size_t dirty = std::min(first_dirty, genes.size());
+    static obs::Counter& c_resumed = obs::counter("eval.resume_genes_skipped");
+
+    // Whole-evaluation reuse: prev's decode provably terminated at or before
+    // the first modified gene, so the child decodes to the very same record.
+    // (dead_end marks that the state after ops has an empty valid-op set — a
+    // property of the state, so it transfers with the copy.)
+    const bool goal_terminated = opt.truncate_at_goal &&
+                                 prev->goal_index != kNoGoal &&
+                                 prev->goal_index <= dirty;
+    const bool dead_terminated = prev->dead_end && prev->ops.size() <= dirty;
+    const bool genome_unchanged =
+        prev->ops.size() == genes.size() && dirty >= genes.size();
+    if (goal_terminated || dead_terminated || genome_unchanged) {
+      ev = *prev;  // copy-assign recycles ev's buffers
+      static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
+      c_resumed.inc(genes.size());
+      c_whole.inc();
+      return {DecodeHead::kReused, 0, genes.size()};
+    }
+
+    const std::size_t stride = opt.checkpoint_stride;
+    const std::size_t limit = std::min(dirty, prev->ops.size());
+    std::size_t k = stride == 0 ? 0 : limit / stride;
+    k = std::min(k, prev->checkpoint_states.size());
+    const std::size_t resume_at = k * stride;
+    if (resume_at != 0) {
+      const auto upto = [](const auto& v, std::size_t n) {
+        return v.begin() + static_cast<std::ptrdiff_t>(n);
+      };
+      ev.reset();
+      ev.match_fit = 1.0;
+      ev.ops.reserve(genes.size());
+      ev.ops.assign(prev->ops.begin(), upto(prev->ops, resume_at));
+      if (rec.hashes) {
+        ev.state_hashes.reserve(genes.size() + 1);
+        ev.state_hashes.assign(prev->state_hashes.begin(),
+                               upto(prev->state_hashes, resume_at + 1));
+      }
+      if (rec.sigs) {
+        ev.op_signatures.reserve(genes.size() + 1);
+        ev.op_signatures.assign(prev->op_signatures.begin(),
+                                upto(prev->op_signatures, resume_at));
+      }
+      ev.checkpoint_states.assign(prev->checkpoint_states.begin(),
+                                  upto(prev->checkpoint_states, k));
+      ev.checkpoint_costs.assign(prev->checkpoint_costs.begin(),
+                                 upto(prev->checkpoint_costs, k));
+      ev.plan_cost = prev->checkpoint_costs[k - 1];
+      // Goal sightings inside the kept prefix transfer; later ones are
+      // re-discovered by the loop. (With truncate_at_goal, a goal at or below
+      // the resume point was already handled by the whole-reuse branch.)
+      if (prev->goal_index != kNoGoal && prev->goal_index <= resume_at) {
+        ev.goal_index = prev->goal_index;
+      }
+      s = prev->checkpoint_states[k - 1];
+      static obs::Counter& c_partial = obs::counter("eval.resume_partial");
+      static obs::Counter& c_ff = obs::counter("eval.ff_genes_skipped");
+      c_partial.inc();
+      std::size_t ff_skipped = 0;
+      bool done = false;
+      std::size_t pos = resume_at;
+      if (!parent_genes.empty()) {
+        pos = indirect_fast_forward(src, genes, parent_genes, resume_at, opt,
+                                    rec, tally, *prev, ev, s, ff_skipped,
+                                    done);
+      }
+      c_resumed.inc(resume_at + ff_skipped);
+      if (ff_skipped != 0) c_ff.inc(ff_skipped);
+      return {done || pos >= genes.size() ? DecodeHead::kFinish
+                                          : DecodeHead::kLoop,
+              pos, resume_at + ff_skipped};
+    }
+  }
+
+  // Cold decode (recycled: reset() keeps capacity).
+  ev.reset();
+  ev.match_fit = 1.0;  // indirect encoding: all operations valid by construction
+  ev.ops.reserve(genes.size());
+  if (rec.hashes) ev.state_hashes.reserve(genes.size() + 1);
+  if (rec.sigs) ev.op_signatures.reserve(genes.size() + 1);
+  s = start;
+  if (rec.hashes) ev.state_hashes.push_back(src.hash(s));
+  bool done = genes.empty();
+  if (src.is_goal(s)) {
+    ev.goal_index = 0;
+    done = done || opt.truncate_at_goal;
+  }
+  return {done ? DecodeHead::kFinish : DecodeHead::kLoop, 0, 0};
+}
+
+/// Post-loop bookkeeping: goal truncation, signature-trajectory closure,
+/// final state.
+template <typename Src, typename State>
+void indirect_decode_finish(const Src& src, const DecodeOptions& opt,
+                            Recording rec, DecodeTally& tally,
+                            Evaluation<State>& ev, State& s) {
   if (opt.truncate_at_goal && ev.goal_index != kNoGoal) {
     ev.valid = true;
     ev.ops.resize(ev.goal_index);
-    if (opt.record_hashes) ev.state_hashes.resize(ev.goal_index + 1);
+    if (rec.hashes) ev.state_hashes.resize(ev.goal_index + 1);
     if (opt.checkpoint_stride != 0) {
       const std::size_t keep = ev.goal_index / opt.checkpoint_stride;
       if (ev.checkpoint_states.size() > keep) {
@@ -315,56 +492,49 @@ void indirect_decode_finish(const P& problem, const DecodeOptions& opt,
       }
     }
   } else {
-    ev.valid = problem.is_goal(s);
+    ev.valid = src.is_goal(s);
   }
-  // Close the signature trajectory so state_hashes and op_signatures always
-  // index the same positions (the final state's signature caps the vector).
-  if (opt.record_hashes) {
-    if (ev.op_signatures.size() > ev.state_hashes.size()) {
-      ev.op_signatures.resize(ev.state_hashes.size());
-    }
-    while (ev.op_signatures.size() < ev.state_hashes.size()) {
-      const ResolvedOps res =
-          resolve_valid_ops(problem, s, ev.state_hashes.back(),
-                            /*want_sig=*/true, scratch, cache, tally);
-      ev.op_signatures.push_back(res.sig);
+  // Close the signature trajectory: one signature per position, the final
+  // state's capping the vector, so state_hashes and op_signatures always
+  // index the same positions.
+  if (rec.sigs) {
+    const std::size_t want = ev.ops.size() + 1;
+    if (ev.op_signatures.size() > want) ev.op_signatures.resize(want);
+    while (ev.op_signatures.size() < want) {
+      const std::uint64_t h =
+          rec.hashes ? ev.state_hashes.back() : kHashUnknown;
+      ev.op_signatures.push_back(src.resolve(s, h, true, tally).sig);
     }
   }
   ev.effective_length = ev.ops.size();
   ev.checkpoint_stride = opt.checkpoint_stride;
   ev.final_state = std::move(s);
   ev.decoded = true;
-  tally.flush();
 }
 
-/// Cold decode into `ev` (recycled: reset() keeps capacity).
-template <PlanningProblem P>
-void decode_indirect_impl(const P& problem, const typename P::StateT& start,
-                          std::span<const Gene> genes, const DecodeOptions& opt,
-                          std::vector<int>& scratch,
-                          OpsCache<typename P::StateT>* cache,
-                          Evaluation<typename P::StateT>& ev) {
-  using State = typename P::StateT;
-  ev.reset();
-  ev.match_fit = 1.0;  // indirect encoding: all operations valid by construction
-  ev.ops.reserve(genes.size());
-  if (opt.record_hashes) {
-    ev.state_hashes.reserve(genes.size() + 1);
-    ev.op_signatures.reserve(genes.size() + 1);
-  }
-
+/// One whole indirect decode over `src`: head, loop, finish. `prev` may be
+/// null (cold decode). Returns the number of gene positions whose re-decode
+/// was skipped.
+template <typename Src, typename State>
+std::size_t indirect_decode(const Src& src, const State& start,
+                            std::span<const Gene> genes,
+                            const DecodeOptions& opt,
+                            const std::type_identity_t<Evaluation<State>>* prev,
+                            std::span<const Gene> parent_genes,
+                            std::size_t first_dirty, Evaluation<State>& ev) {
+  const Recording rec{opt.record_hashes, opt.record_hashes};
   DecodeTally tally;
-  State s = start;
-  if (opt.record_hashes) ev.state_hashes.push_back(problem.hash(s));
-  bool done = false;
-  if (problem.is_goal(s)) {
-    ev.goal_index = 0;
-    done = opt.truncate_at_goal;
+  State s{};
+  const DecodeHead head =
+      indirect_resume_head(src, start, genes, prev, parent_genes, first_dirty,
+                           opt, rec, tally, ev, s);
+  if (head.kind == DecodeHead::kReused) return head.skipped;
+  if (head.kind == DecodeHead::kLoop) {
+    indirect_decode_loop(src, genes, head.pos, opt, rec, tally, ev, s);
   }
-  if (!done) {
-    indirect_decode_loop(problem, genes, 0, opt, scratch, cache, tally, ev, s);
-  }
-  indirect_decode_finish(problem, opt, scratch, cache, tally, ev, s);
+  indirect_decode_finish(src, opt, rec, tally, ev, s);
+  tally.flush();
+  return head.skipped;
 }
 
 }  // namespace detail
@@ -378,7 +548,8 @@ Evaluation<typename P::StateT> decode_indirect(const P& problem,
                                                const DecodeOptions& opt,
                                                std::vector<int>& scratch) {
   Evaluation<typename P::StateT> ev;
-  detail::decode_indirect_impl(problem, start, genes, opt, scratch, nullptr, ev);
+  detail::indirect_decode(detail::ProblemOps<P>{problem, scratch, nullptr},
+                          start, genes, opt, nullptr, {}, 0, ev);
   return ev;
 }
 
@@ -389,8 +560,10 @@ void decode_indirect_into(const P& problem, const typename P::StateT& start,
                           std::span<const Gene> genes, const DecodeOptions& opt,
                           EvalContext<typename P::StateT>& ctx,
                           Evaluation<typename P::StateT>& ev) {
-  detail::decode_indirect_impl(problem, start, genes, opt, ctx.scratch,
-                               ctx.cache.enabled() ? &ctx.cache : nullptr, ev);
+  detail::indirect_decode(
+      detail::ProblemOps<P>{problem, ctx.scratch,
+                            ctx.cache.enabled() ? &ctx.cache : nullptr},
+      start, genes, opt, nullptr, {}, 0, ev);
 }
 
 /// Incremental re-decode. `prev` must be an evaluation (same problem, same
@@ -414,104 +587,17 @@ std::size_t decode_indirect_resume(const P& problem,
                                    std::span<const Gene> parent_genes,
                                    std::size_t first_dirty,
                                    Evaluation<typename P::StateT>& ev) {
-  using State = typename P::StateT;
-  OpsCache<State>* cache = ctx.cache.enabled() ? &ctx.cache : nullptr;
-  if (!prev.decoded || &prev == &ev ||
-      prev.checkpoint_stride != opt.checkpoint_stride ||
-      (opt.record_hashes && prev.state_hashes.size() != prev.ops.size() + 1)) {
-    detail::decode_indirect_impl(problem, start, genes, opt, ctx.scratch, cache, ev);
-    return 0;
-  }
-  const std::size_t dirty = std::min(first_dirty, genes.size());
-
-  // Whole-evaluation reuse: prev's decode provably terminated at or before
-  // the first modified gene, so the child decodes to the very same record.
-  // (dead_end marks that the state after ops has an empty valid-op set — a
-  // property of the state, so it transfers with the copy.)
-  const bool goal_terminated = opt.truncate_at_goal &&
-                               prev.goal_index != kNoGoal &&
-                               prev.goal_index <= dirty;
-  const bool dead_terminated = prev.dead_end && prev.ops.size() <= dirty;
-  const bool genome_unchanged =
-      prev.ops.size() == genes.size() && dirty >= genes.size();
-  if (goal_terminated || dead_terminated || genome_unchanged) {
-    ev = prev;  // copy-assign recycles ev's buffers
-    static obs::Counter& c_reused = obs::counter("eval.resume_genes_skipped");
-    static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
-    c_reused.inc(genes.size());
-    c_whole.inc();
-    return genes.size();
-  }
-
-  const std::size_t limit = std::min(dirty, prev.ops.size());
-  const std::size_t stride = prev.checkpoint_stride;
-  std::size_t k = stride == 0 ? 0 : limit / stride;
-  k = std::min(k, prev.checkpoint_states.size());
-  const std::size_t resume_at = k * stride;
-  if (resume_at == 0) {  // no checkpoint below the dirty gene: cold decode
-    detail::decode_indirect_impl(problem, start, genes, opt, ctx.scratch, cache, ev);
-    return 0;
-  }
-
-  ev.reset();
-  ev.match_fit = 1.0;
-  ev.ops.reserve(genes.size());
-  ev.ops.assign(prev.ops.begin(),
-                prev.ops.begin() + static_cast<std::ptrdiff_t>(resume_at));
-  if (opt.record_hashes) {
-    ev.state_hashes.reserve(genes.size() + 1);
-    ev.op_signatures.reserve(genes.size() + 1);
-    ev.state_hashes.assign(
-        prev.state_hashes.begin(),
-        prev.state_hashes.begin() + static_cast<std::ptrdiff_t>(resume_at + 1));
-    ev.op_signatures.assign(
-        prev.op_signatures.begin(),
-        prev.op_signatures.begin() + static_cast<std::ptrdiff_t>(resume_at));
-  }
-  ev.checkpoint_states.assign(
-      prev.checkpoint_states.begin(),
-      prev.checkpoint_states.begin() + static_cast<std::ptrdiff_t>(k));
-  ev.checkpoint_costs.assign(
-      prev.checkpoint_costs.begin(),
-      prev.checkpoint_costs.begin() + static_cast<std::ptrdiff_t>(k));
-  ev.plan_cost = prev.checkpoint_costs[k - 1];
-  // Goal sightings inside the kept prefix transfer; later ones are
-  // re-discovered by the loop. (With truncate_at_goal, a goal at or below the
-  // resume point was already handled by the whole-reuse branch above.)
-  if (prev.goal_index != kNoGoal && prev.goal_index <= resume_at) {
-    ev.goal_index = prev.goal_index;
-  }
-
-  State s = prev.checkpoint_states[k - 1];
-  detail::DecodeTally tally;
-  static obs::Counter& c_resumed = obs::counter("eval.resume_genes_skipped");
-  static obs::Counter& c_partial = obs::counter("eval.resume_partial");
-  static obs::Counter& c_ff = obs::counter("eval.ff_genes_skipped");
-  c_partial.inc();
-  std::size_t ff_skipped = 0;
-  bool done = false;
-  std::size_t cont = resume_at;
-  if (!parent_genes.empty()) {
-    cont = detail::indirect_fast_forward(problem, genes, parent_genes,
-                                         resume_at, opt, ctx.scratch, cache,
-                                         tally, prev, ev, s, ff_skipped, done);
-  }
-  if (!done) {
-    detail::indirect_decode_loop(problem, genes, cont, opt, ctx.scratch, cache,
-                                 tally, ev, s);
-  }
-  detail::indirect_decode_finish(problem, opt, ctx.scratch, cache, tally, ev, s);
-  c_resumed.inc(resume_at + ff_skipped);
-  if (ff_skipped != 0) c_ff.inc(ff_skipped);
-  return resume_at + ff_skipped;
+  return detail::indirect_decode(
+      detail::ProblemOps<P>{problem, ctx.scratch,
+                            ctx.cache.enabled() ? &ctx.cache : nullptr},
+      start, genes, opt, &prev, parent_genes, first_dirty, ev);
 }
 
 namespace detail {
 
 /// One individual's decode request inside a KernelBatchDecoder pass.
 /// `prev == nullptr` forces a cold decode; otherwise the slot resumes from
-/// `prev` exactly like decode_indirect_resume (same fallback conditions, same
-/// whole-reuse / partial-resume / fast-forward structure).
+/// `prev` exactly like decode_indirect_resume (the same resume head).
 template <typename State>
 struct KernelSlot {
   std::span<const Gene> genes;
@@ -522,14 +608,13 @@ struct KernelSlot {
 };
 
 /// A slot after KernelBatchDecoder's prepare step: the trajectory state at
-/// gene `pos` and the checkpoint countdown, where the decode loop takes
-/// over. `slot` is null when prepare already completed the slot (whole
-/// reuse, goal at the start state, fast-forward to the end).
+/// gene `pos`, where the decode loop takes over. `slot` is null when the
+/// resume head already completed the slot (whole reuse, goal at the start
+/// state, fast-forward to the end).
 template <typename State>
 struct KernelLane {
   State s{};
   std::size_t pos = 0;
-  std::size_t until_ckpt = 0;
   KernelSlot<State>* slot = nullptr;
 
   std::size_t remaining() const noexcept { return slot->genes.size() - pos; }
@@ -538,26 +623,23 @@ struct KernelLane {
 }  // namespace detail
 
 /// Population-wide decoder over a domain's SIMD kernel (see SimdDecodable in
-/// problem.hpp). Where the scalar path re-enumerates valid operations into a
-/// scratch vector and re-hashes them into a crossover signature per decoded
-/// gene, this path folds both into table lookups: the kernel's packed-ops LUT
-/// yields the operation set as one 64-bit word, and `sig_` — built once per
-/// decoder from the same LUT — yields the matching ops_signature.
+/// problem.hpp). Where the per-slot decoders re-enumerate valid operations
+/// into a scratch vector and re-hash them into a crossover signature per
+/// decoded gene, this one decodes over detail::LutOps: the kernel's
+/// packed-ops LUT yields the operation set as one 64-bit word, and `sig_` —
+/// built once per decoder from the same LUT — yields the matching
+/// ops_signature.
 ///
-/// run() takes a whole generation in one pass: it prepares every slot (the
-/// resume head), sorts the slots still decoding longest-remaining-first once,
-/// and decodes them in kGroup-lane groups — 8 individuals per AVX-512
-/// instruction on kernels with vector hooks, else a scalar loop that
-/// interleaves kIlv independent decode chains. A group runs until its longest
-/// lane finishes, so sorting the whole population (not a handful of slots)
-/// is what keeps the lanes busy; eval.simd_steps counts the vector steps.
-///
-/// Bit-identical contract: every branch below mirrors the corresponding
-/// scalar code (decode_indirect_impl / decode_indirect_resume /
-/// indirect_fast_forward / indirect_decode_loop / indirect_decode_finish)
-/// line for line, so the produced Evaluations — ops, hashes, signatures,
-/// checkpoint ladder, and the plan_cost addition order per lane — match the
-/// scalar decoder exactly, whatever the grouping or thread count.
+/// run() takes a whole generation in one pass: it runs every slot through
+/// the shared resume head, sorts the slots still decoding
+/// longest-remaining-first once, and decodes them in kGroup-lane groups — 8
+/// individuals per AVX-512 instruction on kernels with vector hooks, else
+/// lane by lane on the shared decode loop. A vector group runs until its
+/// longest lane finishes, so sorting the whole population (not a handful of
+/// slots) is what keeps the lanes busy; eval.simd_steps counts the vector
+/// steps. Every lane retires through the shared finish, and the per-lane
+/// decode order never depends on the grouping or thread count, so the
+/// Evaluations match the per-slot decoders exactly.
 ///
 /// Intentionally *not* constrained to SimdDecodable<P> at class scope so the
 /// engine can name KernelBatchDecoder<P> inside a std::conditional_t without
@@ -575,18 +657,17 @@ class KernelBatchDecoder {
 
   /// `need_state_hashes` — whether anything downstream reads
   /// Evaluation::state_hashes (only exact-state crossover matching does; see
-  /// detail::match_keys). The scalar decoder computes the state hash per gene
-  /// regardless, because it doubles as the ops-cache key; the LUT kernel has
-  /// no cache to key, so when the hashes are unread it skips both the hash
-  /// computation and the push — the decoded trajectory (ops, signatures,
-  /// checkpoint ladder, costs) is unaffected.
+  /// detail::match_keys). The per-slot decoders compute the state hash per
+  /// gene regardless, because it doubles as the ops-cache key; the LUT has
+  /// no cache to key, so when the hashes are unread this decoder skips both
+  /// the hash computation and the push — the decoded trajectory (ops,
+  /// signatures, checkpoint ladder, costs) is unaffected.
   KernelBatchDecoder(const P& problem, const DecodeOptions& opt,
                      bool need_state_hashes = true)
       : kernel_(problem.simd_kernel()),
         opt_(opt),
-        record_hashes_(opt.record_hashes && need_state_hashes),
-        record_sigs_(opt.record_hashes) {
-    // Precompute ops_signature per LUT slot: the scalar path hashes the
+        rec_{opt.record_hashes && need_state_hashes, opt.record_hashes} {
+    // Precompute ops_signature per LUT slot: the per-slot path hashes the
     // valid-op list at every decoded gene; here it is one indexed load. The
     // packed-ops and count columns are copied out as uint64 tables alongside
     // so the vector path can fetch all three with 64-bit gathers.
@@ -628,7 +709,17 @@ class KernelBatchDecoder {
     const auto prepare_range = [&](std::size_t lo, std::size_t hi) {
       detail::DecodeTally tally;
       for (std::size_t i = lo; i < hi; ++i) {
-        prepare(start, slots[i], lanes[i], tally);
+        detail::KernelSlot<State>& sl = slots[i];
+        detail::KernelLane<State>& ln = lanes[i];
+        const detail::DecodeHead head = detail::indirect_resume_head(
+            lut(), start, sl.genes, sl.prev, sl.parent_genes, sl.first_dirty,
+            opt_, rec_, tally, *sl.ev, ln.s);
+        ln.pos = head.pos;
+        ln.slot = head.kind == detail::DecodeHead::kLoop ? &sl : nullptr;
+        if (head.kind == detail::DecodeHead::kFinish) {
+          detail::indirect_decode_finish(lut(), opt_, rec_, tally, *sl.ev,
+                                         ln.s);
+        }
       }
       tally.flush();
     };
@@ -693,16 +784,20 @@ class KernelBatchDecoder {
       };
 #endif
 
-  /// Decodes sorted, prepared lanes to completion on the vector path when
-  /// the kernel and CPU allow it, else on the scalar interleave.
+  detail::LutOps<KernelT> lut() const noexcept {
+    return {kernel_, sig_.data()};
+  }
+
+  /// Decodes sorted, prepared lanes to completion: on the vector path when
+  /// the kernel and CPU allow it, else lane by lane on the shared loop.
   void decode_lanes(std::span<const detail::KernelLane<State>> lanes,
                     detail::DecodeTally& tally) const {
 #if GAPLAN_AVX512_DECODE
     if constexpr (kVectorStep) {
       // The vector step records no state hashes, so exact-state matching
-      // (record_hashes_) stays on the scalar-interleave path.
-      if (!record_hashes_ && vector_ok_) {
-        if (record_sigs_) {
+      // (rec_.hashes) stays on the shared loop.
+      if (!rec_.hashes && vector_ok_) {
+        if (rec_.sigs) {
           run_vector<true>(lanes, tally);
         } else {
           run_vector<false>(lanes, tally);
@@ -711,255 +806,12 @@ class KernelBatchDecoder {
       }
     }
 #endif
-    if (record_hashes_) {
-      run_impl<true, true>(lanes, tally);
-    } else if (record_sigs_) {
-      run_impl<false, true>(lanes, tally);
-    } else {
-      run_impl<false, false>(lanes, tally);
-    }
-  }
-
-  /// Replicates the head of decode_indirect_resume (or the cold-decode init)
-  /// for one slot. Leaves `ln` positioned where the decode loop takes over,
-  /// or completes the slot and clears ln.slot when nothing is left to decode.
-  void prepare(const State& start, detail::KernelSlot<State>& slot,
-               detail::KernelLane<State>& ln,
-               detail::DecodeTally& tally) const {
-    Evaluation<State>& ev = *slot.ev;
-    const std::span<const Gene> genes = slot.genes;
-    const std::size_t stride = opt_.checkpoint_stride;
-    bool done = false;
-    bool cold = true;
-    ln.slot = nullptr;
-
-    if (slot.prev != nullptr) {
-      const Evaluation<State>& prev = *slot.prev;
-      if (prev.decoded && &prev != slot.ev &&
-          prev.checkpoint_stride == stride &&
-          (!record_hashes_ ||
-           prev.state_hashes.size() == prev.ops.size() + 1) &&
-          (!record_sigs_ ||
-           prev.op_signatures.size() == prev.ops.size() + 1)) {
-        const std::size_t dirty = std::min(slot.first_dirty, genes.size());
-        const bool goal_terminated = opt_.truncate_at_goal &&
-                                     prev.goal_index != kNoGoal &&
-                                     prev.goal_index <= dirty;
-        const bool dead_terminated = prev.dead_end && prev.ops.size() <= dirty;
-        const bool genome_unchanged =
-            prev.ops.size() == genes.size() && dirty >= genes.size();
-        if (goal_terminated || dead_terminated || genome_unchanged) {
-          ev = prev;
-          static obs::Counter& c_reused =
-              obs::counter("eval.resume_genes_skipped");
-          static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
-          c_reused.inc(genes.size());
-          c_whole.inc();
-          return;
-        }
-        const std::size_t limit = std::min(dirty, prev.ops.size());
-        std::size_t k = stride == 0 ? 0 : limit / stride;
-        k = std::min(k, prev.checkpoint_states.size());
-        const std::size_t resume_at = k * stride;
-        if (resume_at != 0) {
-          cold = false;
-          ev.reset();
-          ev.match_fit = 1.0;
-          ev.ops.reserve(genes.size());
-          ev.ops.assign(prev.ops.begin(),
-                        prev.ops.begin() +
-                            static_cast<std::ptrdiff_t>(resume_at));
-          if (record_hashes_) {
-            ev.state_hashes.reserve(genes.size() + 1);
-            ev.state_hashes.assign(
-                prev.state_hashes.begin(),
-                prev.state_hashes.begin() +
-                    static_cast<std::ptrdiff_t>(resume_at + 1));
-          }
-          if (record_sigs_) {
-            ev.op_signatures.reserve(genes.size() + 1);
-            ev.op_signatures.assign(
-                prev.op_signatures.begin(),
-                prev.op_signatures.begin() +
-                    static_cast<std::ptrdiff_t>(resume_at));
-          }
-          ev.checkpoint_states.assign(
-              prev.checkpoint_states.begin(),
-              prev.checkpoint_states.begin() + static_cast<std::ptrdiff_t>(k));
-          ev.checkpoint_costs.assign(
-              prev.checkpoint_costs.begin(),
-              prev.checkpoint_costs.begin() + static_cast<std::ptrdiff_t>(k));
-          ev.plan_cost = prev.checkpoint_costs[k - 1];
-          if (prev.goal_index != kNoGoal && prev.goal_index <= resume_at) {
-            ev.goal_index = prev.goal_index;
-          }
-          ln.s = prev.checkpoint_states[k - 1];
-          static obs::Counter& c_resumed =
-              obs::counter("eval.resume_genes_skipped");
-          static obs::Counter& c_partial = obs::counter("eval.resume_partial");
-          static obs::Counter& c_ff = obs::counter("eval.ff_genes_skipped");
-          c_partial.inc();
-          std::size_t ff_skipped = 0;
-          std::size_t cont = resume_at;
-          if (!slot.parent_genes.empty()) {
-            cont = fast_forward(genes, slot.parent_genes, resume_at, tally,
-                                prev, ev, ln.s, ff_skipped, done);
-          }
-          ln.pos = cont;
-          c_resumed.inc(resume_at + ff_skipped);
-          if (ff_skipped != 0) c_ff.inc(ff_skipped);
-        }
-      }
-    }
-
-    if (cold) {
-      ev.reset();
-      ev.match_fit = 1.0;
-      ev.ops.reserve(genes.size());
-      if (record_hashes_) ev.state_hashes.reserve(genes.size() + 1);
-      if (record_sigs_) ev.op_signatures.reserve(genes.size() + 1);
-      ln.s = start;
-      ln.pos = 0;
-      if (record_hashes_) ev.state_hashes.push_back(kernel_.hash(ln.s));
-      if (kernel_.is_goal(ln.s)) {
-        ev.goal_index = 0;
-        done = opt_.truncate_at_goal;
-      }
-    }
-    ln.until_ckpt = stride != 0 ? stride - ln.pos % stride
-                                : std::numeric_limits<std::size_t>::max();
-    if (!done && ln.pos < genes.size()) {
-      ln.slot = &slot;
-    } else {
-      finish(ev, ln.s);
-    }
-  }
-
-  /// Interleave width of the scalar decode. Each lane's decode is a serial
-  /// state→LUT→op→state dependency chain whose latency dominates the scalar
-  /// engine's per-gene cost; stepping kIlv independent lanes in one loop body
-  /// lets the out-of-order core overlap their chains (~2x on the reference
-  /// box; diminishing returns past 4 as register pressure sets in).
-  static constexpr std::size_t kIlv = 4;
-
-  /// Scalar decode of prepared lanes: keeps up to kIlv lanes live, steps
-  /// them in bounded interleaved rounds, and refills a retired lane from the
-  /// pending ones so the chain overlap stays high. Each lane performs
-  /// indirect_decode_loop's operations in its order — lanes only interleave
-  /// *between* individuals' trajectories, never within one — so the produced
-  /// Evaluations are unchanged.
-  template <bool RecordHashes, bool RecordSigs>
-  void run_impl(std::span<const detail::KernelLane<State>> lanes,
-                detail::DecodeTally& tally) const {
-    // Lane state as parallel plain-scalar locals (a lane-SoA): the compiler
-    // can prove nothing aliases them — vector push_backs write through
-    // Evaluation pointers, but these arrays' addresses never escape — so
-    // after unrolling the i-loop each lane's state lives in registers across
-    // the whole round instead of being reloaded after every push.
-    State s[kIlv];
-    const Gene* gp[kIlv] = {};
-    std::size_t n[kIlv] = {};
-    std::size_t pos[kIlv] = {};
-    std::size_t until[kIlv] = {};
-    double cost[kIlv] = {};
-    bool need_sig[kIlv] = {};
-    bool stopped[kIlv] = {};  // goal truncation / dead end inside a round
-    Evaluation<State>* evp[kIlv] = {};
-    std::size_t m = 0;     // live lanes (compacted into index range [0, m))
-    std::size_t next = 0;  // next pending lane
-
-    const auto pump = [&] {
-      for (; m < kIlv && next < lanes.size(); ++m, ++next) {
-        const detail::KernelLane<State>& ln = lanes[next];
-        Evaluation<State>& ev = *ln.slot->ev;
-        s[m] = ln.s;
-        gp[m] = ln.slot->genes.data();
-        n[m] = ln.slot->genes.size();
-        pos[m] = ln.pos;
-        until[m] = ln.until_ckpt;
-        cost[m] = ev.plan_cost;
-        // After a fast-forward divergence the signature for the resume
-        // position is already recorded (the scalar loop's sigs<hashes
-        // guard, rephrased on positions).
-        need_sig[m] = !RecordSigs || ev.op_signatures.size() <= ln.pos;
-        stopped[m] = false;
-        evp[m] = &ev;
-      }
-    };
-
-    pump();
-    while (m > 0) {
-      // Round bound: no live lane runs past its genome inside a round, and
-      // the cap keeps retired lanes (goal/dead end) idle only briefly before
-      // the refill below replaces them.
-      std::size_t bound = 64;
-      for (std::size_t i = 0; i < m; ++i) {
-        bound = std::min(bound, n[i] - pos[i]);
-      }
-      bool refill = false;  // a lane stopped: retire + refill before more rounds
-      for (std::size_t t = 0; t < bound && !refill; ++t) {
-        for (std::size_t i = 0; i < kIlv; ++i) {
-          if (i >= m || stopped[i]) continue;
-          Evaluation<State>& ev = *evp[i];
-          const std::uint32_t li = kernel_.lut_index(s[i]);
-          const PackedOps po{kernel_.lut_ops(li), kernel_.lut_count(li)};
-          if constexpr (RecordSigs) {
-            if (need_sig[i]) {
-              ev.op_signatures.push_back(sig_[li]);
-            } else {
-              need_sig[i] = true;
-            }
-          }
-          if (po.m == 0) {  // dead end: remaining genes are inert
-            ev.dead_end = true;
-            stopped[i] = true;
-            refill = true;
-            continue;
-          }
-          const int op = po.op(gene_to_index(gp[i][pos[i]], po.m));
-          cost[i] += kernel_.op_cost(s[i], op);
-          kernel_.apply(s[i], op);
-          ev.ops.push_back(op);
-          ++tally.ops_decoded;
-          ++pos[i];
-          if constexpr (RecordHashes) {
-            ev.state_hashes.push_back(kernel_.hash(s[i]));
-          }
-          if (--until[i] == 0) {
-            ev.checkpoint_states.push_back(s[i]);
-            ev.checkpoint_costs.push_back(cost[i]);
-            until[i] = opt_.checkpoint_stride;
-          }
-          if (ev.goal_index == kNoGoal && kernel_.is_goal(s[i])) {
-            ev.goal_index = ev.ops.size();
-            if (opt_.truncate_at_goal) {
-              stopped[i] = true;
-              refill = true;
-            }
-          }
-        }
-      }
-      // Retire finished lanes (compacting), then refill from pending lanes.
-      for (std::size_t i = 0; i < m;) {
-        if (stopped[i] || pos[i] >= n[i]) {
-          evp[i]->plan_cost = cost[i];
-          State fs = s[i];  // keep s[]'s address out of finish()
-          finish(*evp[i], fs);
-          --m;
-          s[i] = s[m];
-          gp[i] = gp[m];
-          n[i] = n[m];
-          pos[i] = pos[m];
-          until[i] = until[m];
-          cost[i] = cost[m];
-          need_sig[i] = need_sig[m];
-          stopped[i] = stopped[m];
-          evp[i] = evp[m];
-        } else {
-          ++i;
-        }
-      }
-      pump();
+    for (const detail::KernelLane<State>& ln : lanes) {
+      Evaluation<State>& ev = *ln.slot->ev;
+      State s = ln.s;
+      detail::indirect_decode_loop(lut(), ln.slot->genes, ln.pos, opt_, rec_,
+                                   tally, ev, s);
+      detail::indirect_decode_finish(lut(), opt_, rec_, tally, ev, s);
     }
   }
 
@@ -968,9 +820,9 @@ class KernelBatchDecoder {
   static constexpr std::size_t kVChunk = 64;  ///< steps between staging flushes
 
   /// Data-parallel decode: 8 individuals advance one gene per iteration in
-  /// AVX-512 registers. The scalar interleave above overlaps lanes'
-  /// dependency chains but still issues every lane's scalar op stream; here
-  /// one instruction stream serves all 8 lanes, and the kernel hooks
+  /// AVX-512 registers. The shared loop issues every lane's scalar op stream
+  /// in turn; here one instruction stream serves all 8 lanes, and the kernel
+  /// hooks
   /// (lut_index8 / apply8 / is_goal8) keep the per-step state transition
   /// entirely in zmm registers. Trajectory output goes through small
   /// L1-resident staging columns — masked scatters during the chunk, one bulk
@@ -984,11 +836,11 @@ class KernelBatchDecoder {
   /// the same 1.0-addition sequence (kUnitOpCost), so plan_cost matches
   /// bitwise. Lanes that retire mid-group (goal truncation, dead end,
   /// genome exhausted) are masked out and their registers frozen until the
-  /// whole group retires through the shared finish().
+  /// whole group retires through indirect_decode_finish.
   ///
   /// Only compiled for kVectorStep kernels and only entered behind
   /// util::has_avx512_decode() (see decode_lanes); never records state
-  /// hashes — the dispatch keeps exact-state matching on the scalar path.
+  /// hashes — the dispatch keeps exact-state matching on the shared loop.
   template <bool RecordSigs>
   GAPLAN_AVX512_TARGET void run_vector(
       std::span<const detail::KernelLane<State>> lanes,
@@ -1031,7 +883,10 @@ class KernelBatchDecoder {
         p_a[j] = std::bit_cast<std::uint64_t>(ln.s);
         pos_a[j] = ln.pos;
         n_a[j] = ln.slot->genes.size();
-        until_a[j] = ln.until_ckpt;
+        until_a[j] = opt_.checkpoint_stride != 0
+                         ? opt_.checkpoint_stride -
+                               ln.pos % opt_.checkpoint_stride
+                         : std::numeric_limits<std::size_t>::max();
         gaddr_a[j] =
             reinterpret_cast<std::uintptr_t>(ln.slot->genes.data() + ln.pos);
         opscnt_a[j] = ev.ops.size();
@@ -1187,139 +1042,15 @@ class KernelBatchDecoder {
       for (std::size_t j = 0; j < nb; ++j) {
         evp[j]->plan_cost = cost_a[j];
         State fs = std::bit_cast<State>(p_a[j]);
-        finish(*evp[j], fs);
+        detail::indirect_decode_finish(lut(), opt_, rec_, tally, *evp[j], fs);
       }
     }
   }
 #endif  // GAPLAN_AVX512_DECODE
 
-  /// Kernel mirror of indirect_fast_forward — same jump/decode/divergence
-  /// structure, with LUT lookups in place of resolve_valid_ops.
-  std::size_t fast_forward(std::span<const Gene> genes,
-                           std::span<const Gene> parent_genes,
-                           std::size_t from, detail::DecodeTally& tally,
-                           const Evaluation<State>& prev,
-                           Evaluation<State>& ev, State& s,
-                           std::size_t& skipped, bool& done) const {
-    const std::size_t stride = opt_.checkpoint_stride;
-    const std::size_t scan_lim =
-        std::min({genes.size(), parent_genes.size(), prev.ops.size()});
-    const auto at = [](const auto& v, std::size_t i) {
-      return v.begin() + static_cast<std::ptrdiff_t>(i);
-    };
-    std::size_t pos = from;
-    while (pos < genes.size()) {
-      if (pos % stride == 0 && pos < scan_lim) {
-        std::size_t d = pos;
-        while (d < scan_lim && genes[d] == parent_genes[d]) ++d;
-        const std::size_t kk =
-            std::min(d / stride, prev.checkpoint_states.size());
-        const std::size_t jump = kk * stride;
-        if (jump > pos) {
-          ev.ops.insert(ev.ops.end(), at(prev.ops, pos), at(prev.ops, jump));
-          if (record_hashes_) {
-            ev.state_hashes.insert(ev.state_hashes.end(),
-                                   at(prev.state_hashes, pos + 1),
-                                   at(prev.state_hashes, jump + 1));
-          }
-          if (record_sigs_) {
-            ev.op_signatures.insert(ev.op_signatures.end(),
-                                    at(prev.op_signatures, pos),
-                                    at(prev.op_signatures, jump));
-          }
-          ev.checkpoint_states.insert(ev.checkpoint_states.end(),
-                                      at(prev.checkpoint_states, pos / stride),
-                                      at(prev.checkpoint_states, kk));
-          ev.checkpoint_costs.insert(ev.checkpoint_costs.end(),
-                                     at(prev.checkpoint_costs, pos / stride),
-                                     at(prev.checkpoint_costs, kk));
-          ev.plan_cost = prev.checkpoint_costs[kk - 1];
-          s = prev.checkpoint_states[kk - 1];
-          skipped += jump - pos;
-          pos = jump;
-          if (ev.goal_index == kNoGoal && prev.goal_index != kNoGoal &&
-              prev.goal_index <= jump) {
-            ev.goal_index = prev.goal_index;
-            if (opt_.truncate_at_goal) {
-              done = true;
-              return pos;
-            }
-          }
-          continue;
-        }
-      }
-      const std::uint32_t li = kernel_.lut_index(s);
-      const PackedOps po{kernel_.lut_ops(li), kernel_.lut_count(li)};
-      if (record_sigs_ && ev.op_signatures.size() <= pos) {
-        ev.op_signatures.push_back(sig_[li]);
-      }
-      if (po.m == 0) {
-        ev.dead_end = true;
-        done = true;
-        return pos;
-      }
-      const int op = po.op(gene_to_index(genes[pos], po.m));
-      if (pos >= prev.ops.size() || op != prev.ops[pos]) {
-        return pos;  // diverged: the main loop re-decodes from here on
-      }
-      ev.plan_cost += kernel_.op_cost(s, op);
-      kernel_.apply(s, op);
-      ev.ops.push_back(op);
-      ++tally.ops_decoded;
-      ++pos;
-      if (record_hashes_) ev.state_hashes.push_back(kernel_.hash(s));
-      if (pos % stride == 0) {
-        ev.checkpoint_states.push_back(s);
-        ev.checkpoint_costs.push_back(ev.plan_cost);
-      }
-      if (ev.goal_index == kNoGoal && kernel_.is_goal(s)) {
-        ev.goal_index = pos;
-        if (opt_.truncate_at_goal) {
-          done = true;
-          return pos;
-        }
-      }
-    }
-    done = true;
-    return pos;
-  }
-
-  /// Kernel mirror of indirect_decode_finish.
-  void finish(Evaluation<State>& ev, State& s) const {
-    if (opt_.truncate_at_goal && ev.goal_index != kNoGoal) {
-      ev.valid = true;
-      ev.ops.resize(ev.goal_index);
-      if (record_hashes_) ev.state_hashes.resize(ev.goal_index + 1);
-      if (opt_.checkpoint_stride != 0) {
-        const std::size_t keep = ev.goal_index / opt_.checkpoint_stride;
-        if (ev.checkpoint_states.size() > keep) {
-          ev.checkpoint_states.resize(keep);
-          ev.checkpoint_costs.resize(keep);
-        }
-      }
-    } else {
-      ev.valid = kernel_.is_goal(s);
-    }
-    // Close the signature trajectory: one signature per position, capped by
-    // the final state's (== state_hashes closure in the scalar decoder, which
-    // keeps hashes at ops+1 throughout).
-    if (record_sigs_) {
-      const std::size_t want = ev.ops.size() + 1;
-      if (ev.op_signatures.size() > want) ev.op_signatures.resize(want);
-      while (ev.op_signatures.size() < want) {
-        ev.op_signatures.push_back(sig_[kernel_.lut_index(s)]);
-      }
-    }
-    ev.effective_length = ev.ops.size();
-    ev.checkpoint_stride = opt_.checkpoint_stride;
-    ev.final_state = std::move(s);
-    ev.decoded = true;
-  }
-
   KernelT kernel_;
   DecodeOptions opt_;
-  bool record_hashes_ = true;  ///< state_hashes consumed (exact-state match)
-  bool record_sigs_ = true;    ///< op_signatures consumed (valid-ops match)
+  detail::Recording rec_;
   /// Running CPU executes the AVX-512 step (compile support is kVectorStep).
   bool vector_ok_ = util::has_avx512_decode();
   std::vector<std::uint64_t> sig_;   ///< ops_signature per LUT slot

@@ -62,15 +62,19 @@ struct PackedOps {
   }
 };
 
-/// Opt-in surface for the batched struct-of-arrays decode path (see
-/// decoder.hpp, KernelBatchDecoder): a domain whose per-state valid-operation
-/// set is a pure function of a small state key exposes `simd_kernel()`, an
-/// object carrying a lookup table of packed operation sets plus inline
-/// apply/cost/hash/goal replicas. The kernel MUST agree bit-for-bit with the
-/// domain's own valid_ops/apply/op_cost/hash/is_goal — the engine's
-/// trajectories are held to golden fixtures recorded with the per-slot
-/// decode (tests/test_golden.cpp, tests/test_eval_soa.cpp). Constraints: every op id < 16 and every state has at
-/// most 16 valid operations (the 4-bit packing above).
+/// Opt-in surface for the population-wide kernel decode (decoder.hpp,
+/// KernelBatchDecoder): a domain whose per-state valid-operation set is a
+/// pure function of a small state key exposes `simd_kernel()`, an object
+/// carrying a lookup table of packed operation sets plus inline
+/// apply/cost/hash/goal replicas. The decoder runs the same decode core as
+/// the per-slot path over this LUT (detail::LutOps); a kernel may add the
+/// 8-lane hooks of HanoiKernel for the AVX-512 group step. The kernel MUST
+/// agree bit-for-bit with the domain's own valid_ops/apply/op_cost/hash/
+/// is_goal — tests/test_prop_kernel.cpp checks that on random walks, and the
+/// engine's trajectories are held to golden fixtures recorded with the
+/// per-slot decode (tests/test_golden.cpp, tests/test_eval_soa.cpp).
+/// Constraints: every op id < 16 and every state has at most 16 valid
+/// operations (the 4-bit packing above).
 ///
 /// The kernel returns raw packed words (lut_ops/lut_count) rather than
 /// PackedOps so domain headers stay free of core includes.

@@ -20,6 +20,7 @@
 #include "domains/sliding_tile.hpp"
 #include "golden/cases.hpp"
 #include "obs/metrics.hpp"
+#include "scalar_kernel_hanoi.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -109,23 +110,24 @@ struct GenerationTrace {
   std::vector<double> fitness;
 };
 
-/// Runs `gens` generations of a Hanoi-6 phase at population `pop` on
+/// Runs `gens` generations of a phase of `problem` at population `pop` on
 /// `threads` evaluation threads, requiring after every step_evaluate that
 /// each slot carries exactly the cold evaluate_into of its genome.
-std::vector<GenerationTrace> run_checked(const ga::GaConfig& base,
+template <typename P>
+std::vector<GenerationTrace> run_checked(const P& problem,
+                                         const ga::GaConfig& base,
                                          std::size_t pop, std::size_t threads,
                                          std::size_t gens) {
-  static const domains::Hanoi hanoi(6);
   ga::GaConfig cfg = base;
   cfg.population_size = pop;
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-  ga::PhaseRunner<domains::Hanoi> runner(hanoi, cfg, pool.get());
+  ga::PhaseRunner<P> runner(problem, cfg, pool.get());
   util::Rng rng(91);
-  runner.init(hanoi.initial_state(), rng);
-  ga::EvalContext<domains::Hanoi::StateT> ctx;
-  ctx.sync(&hanoi, ga::next_eval_epoch(), 0);
-  ga::Evaluation<domains::Hanoi::StateT> cold;
+  runner.init(problem.initial_state(), rng);
+  ga::EvalContext<typename P::StateT> ctx;
+  ctx.sync(&problem, ga::next_eval_epoch(), 0);
+  ga::Evaluation<typename P::StateT> cold;
   std::vector<GenerationTrace> trace;
   for (std::size_t g = 0; g < gens; ++g) {
     runner.step_evaluate();
@@ -134,7 +136,8 @@ std::vector<GenerationTrace> run_checked(const ga::GaConfig& base,
     for (std::size_t i = 0; i < popn.slots(); ++i) {
       const auto genes = popn.genome(i);
       const auto& ev = popn.eval(i);
-      ga::evaluate_into(hanoi, cfg, hanoi.initial_state(), genes, ctx, cold);
+      ga::evaluate_into(problem, cfg, problem.initial_state(), genes, ctx,
+                        cold);
       const std::string where = "pop " + std::to_string(pop) + " threads " +
                                 std::to_string(threads) + " gen " +
                                 std::to_string(g) + " slot " +
@@ -155,13 +158,14 @@ std::vector<GenerationTrace> run_checked(const ga::GaConfig& base,
   return trace;
 }
 
-void expect_group_remainders_agree(const ga::GaConfig& cfg) {
+template <typename P>
+void expect_group_remainders_agree(const P& problem, const ga::GaConfig& cfg) {
   // Populations off the 8-lane group size (1, 7, 9, 201) leave a partial
   // last group; pooled passes deal the groups to 2 or 4 workers.
   for (const std::size_t pop : {1, 7, 9, 201}) {
-    const auto serial = run_checked(cfg, pop, 1, 8);
+    const auto serial = run_checked(problem, cfg, pop, 1, 8);
     for (const std::size_t threads : {2, 4}) {
-      const auto pooled = run_checked(cfg, pop, threads, 8);
+      const auto pooled = run_checked(problem, cfg, pop, threads, 8);
       ASSERT_EQ(pooled.size(), serial.size());
       for (std::size_t g = 0; g < serial.size(); ++g) {
         EXPECT_EQ(pooled[g].genomes, serial[g].genomes)
@@ -185,23 +189,65 @@ ga::GaConfig remainder_config() {
   return cfg;
 }
 
+const domains::Hanoi& hanoi6() {
+  static const domains::Hanoi hanoi(6);
+  return hanoi;
+}
+
 TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsVector) {
   // Valid-ops matching: the AVX-512 step where the CPU has it.
-  expect_group_remainders_agree(remainder_config());
+  expect_group_remainders_agree(hanoi6(), remainder_config());
 }
 
 TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsScalar) {
   // Exact-state matching records state hashes, so it always takes the
-  // scalar interleave.
+  // shared scalar loop.
   ga::GaConfig cfg = remainder_config();
   cfg.state_match = ga::StateMatchKind::kExactState;
-  expect_group_remainders_agree(cfg);
+  expect_group_remainders_agree(hanoi6(), cfg);
 }
 
 std::uint64_t counter_now(const char* name) {
   const auto snap = obs::snapshot_metrics();
   const auto* c = snap.find_counter(name);
   return c == nullptr ? 0 : c->value;
+}
+
+/// Hanoi-6 behind a kernel with only the scalar hooks: the kernel pass
+/// decodes every lane on the shared scalar loop, whatever the CPU.
+void expect_scalar_hooks_agree(const ga::GaConfig& cfg) {
+  static const tests::ScalarKernelHanoi scalar_hanoi(6);
+  static_assert(ga::SimdDecodable<tests::ScalarKernelHanoi>);
+  const std::uint64_t lanes0 = counter_now("eval.simd_lanes_used");
+  const std::uint64_t steps0 = counter_now("eval.simd_steps");
+  expect_group_remainders_agree(scalar_hanoi, cfg);
+  EXPECT_GT(counter_now("eval.simd_lanes_used"), lanes0)
+      << "the runner did not take the kernel pass";
+  EXPECT_EQ(counter_now("eval.simd_steps"), steps0)
+      << "the scalar-hooks kernel reached the vector step";
+  // Same problem, same draws: the trajectory is Hanoi-6's.
+  for (const std::size_t pop : {7, 201}) {
+    const auto scalar = run_checked(scalar_hanoi, cfg, pop, 1, 8);
+    const auto hanoi = run_checked(hanoi6(), cfg, pop, 1, 8);
+    ASSERT_EQ(scalar.size(), hanoi.size());
+    for (std::size_t g = 0; g < hanoi.size(); ++g) {
+      const std::string where =
+          "pop " + std::to_string(pop) + " gen " + std::to_string(g);
+      EXPECT_EQ(scalar[g].genomes, hanoi[g].genomes) << where;
+      EXPECT_EQ(scalar[g].ops, hanoi[g].ops) << where;
+      EXPECT_EQ(scalar[g].fitness, hanoi[g].fitness) << where;
+    }
+  }
+}
+
+TEST(KernelScalarHooks, GroupRemaindersValidOps) {
+  expect_scalar_hooks_agree(remainder_config());
+}
+
+TEST(KernelScalarHooks, GroupRemaindersExactState) {
+  ga::GaConfig cfg = remainder_config();
+  cfg.state_match = ga::StateMatchKind::kExactState;
+  expect_scalar_hooks_agree(cfg);
 }
 
 TEST(KernelDecode, LaneOccupancyHanoi7Pop200) {
