@@ -110,7 +110,15 @@ inline CutPoints pick_random_cuts(std::size_t a_len, std::size_t b_len,
 /// c1 (`keys_a` / `keys_b` are the parents' per-position match keys: state
 /// hashes for kExactState, valid-op signatures for kValidOps — see
 /// Evaluation) and chooses one match uniformly. ok=false when a parent is too
-/// short or no matching point exists.
+/// short or no matching point exists. On return `match_buffer` holds the
+/// matching c2 positions in ascending order (untouched when a parent is too
+/// short or undecoded).
+///
+/// The match scan is branch-free: every position is written to the buffer
+/// and the cursor advances by the key comparison, so the scan does not
+/// mispredict on key trajectories where matches are frequent and irregular
+/// (valid-op signatures on Hanoi). The excluded cut (c1 == a_len, c2 == 0,
+/// which would leave child 2 empty) is left out by starting the scan at 1.
 inline CutPoints pick_state_aware_cuts(std::size_t a_len,
                                        const std::vector<std::uint64_t>& keys_a,
                                        std::size_t b_len,
@@ -130,15 +138,17 @@ inline CutPoints pick_state_aware_cuts(std::size_t a_len,
 
   const std::size_t c1 = 1 + static_cast<std::size_t>(rng.below(hi_a));
   const std::uint64_t want = keys_a[c1];
-  match_buffer.clear();
-  for (std::size_t c2 = 0; c2 <= hi_b; ++c2) {
-    if (keys_b[c2] == want && !(c1 == a_len && c2 == 0)) {
-      match_buffer.push_back(c2);
-    }
+  match_buffer.resize(hi_b + 1);
+  std::size_t* const out = match_buffer.data();
+  const std::uint64_t* const keys = keys_b.data();
+  std::size_t n = 0;
+  for (std::size_t c2 = c1 == a_len ? 1 : 0; c2 <= hi_b; ++c2) {
+    out[n] = c2;
+    n += static_cast<std::size_t>(keys[c2] == want);
   }
-  if (match_buffer.empty()) return {};
-  const std::size_t c2 =
-      match_buffer[static_cast<std::size_t>(rng.below(match_buffer.size()))];
+  match_buffer.resize(n);
+  if (n == 0) return {};
+  const std::size_t c2 = out[static_cast<std::size_t>(rng.below(n))];
   return {c1, c2, true};
 }
 

@@ -49,6 +49,7 @@
 #include "obs/metrics.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace gaplan::ga {
 
@@ -251,6 +252,14 @@ void indirect_decode_loop(const Src& src, std::span<const Gene> genes,
 /// Returns the position decoding should continue from; sets `done` when the
 /// decode terminated inside the fast-forward (goal truncation, dead end, or
 /// genome exhausted) and adds the skipped gene count to `skipped`.
+///
+/// It runs ahead of every decode that continues on the scalar loop: the
+/// per-slot decoders, and KernelBatchDecoder lanes off the vector path (tile
+/// and cube kernels, exact-state matching, scalar-hooks-only kernels, CPUs
+/// without AVX-512). KernelBatchDecoder's vector lanes skip it: between
+/// jumps it decodes one gene at a time, at several times the 8-lane step's
+/// per-gene cost, so letting the step decode the genes a jump would skip is
+/// cheaper than finding the jumps.
 template <typename Src, typename State>
 std::size_t indirect_fast_forward(
     const Src& src, std::span<const Gene> genes,
@@ -597,7 +606,10 @@ namespace detail {
 
 /// One individual's decode request inside a KernelBatchDecoder pass.
 /// `prev == nullptr` forces a cold decode; otherwise the slot resumes from
-/// `prev` exactly like decode_indirect_resume (the same resume head).
+/// `prev` through decode_indirect_resume's resume head. `parent_genes` feeds
+/// that head's fast-forward only when the lane decodes on the scalar loop;
+/// a vector lane restarts at its checkpoint and the 8-lane step decodes the
+/// rest (see KernelBatchDecoder::vector_lanes).
 template <typename State>
 struct KernelSlot {
   std::span<const Gene> genes;
@@ -610,7 +622,7 @@ struct KernelSlot {
 /// A slot after KernelBatchDecoder's prepare step: the trajectory state at
 /// gene `pos`, where the decode loop takes over. `slot` is null when the
 /// resume head already completed the slot (whole reuse, goal at the start
-/// state, fast-forward to the end).
+/// state, or — on scalar-loop lanes only — fast-forward to the end).
 template <typename State>
 struct KernelLane {
   State s{};
@@ -637,9 +649,13 @@ struct KernelLane {
 /// lane by lane on the shared decode loop. A vector group runs until its
 /// longest lane finishes, so sorting the whole population (not a handful of
 /// slots) is what keeps the lanes busy; eval.simd_steps counts the vector
-/// steps. Every lane retires through the shared finish, and the per-lane
-/// decode order never depends on the grouping or thread count, so the
-/// Evaluations match the per-slot decoders exactly.
+/// steps. Vector lanes resume without the fast-forward, so they decode more
+/// ops than the per-slot decoders would, each far cheaper; lanes on the
+/// shared loop fast-forward as the per-slot decoders do. Every lane retires
+/// through the shared finish, and the per-lane decode order never depends on
+/// the grouping or thread count, so the Evaluations match the per-slot
+/// decoders exactly. eval.prepare_ms and eval.group_decode_ms time the
+/// prepare and group-decode steps once per run().
 ///
 /// Intentionally *not* constrained to SimdDecodable<P> at class scope so the
 /// engine can name KernelBatchDecoder<P> inside a std::conditional_t without
@@ -705,15 +721,20 @@ class KernelBatchDecoder {
            util::ThreadPool* pool) const {
     const std::size_t n = slots.size();
     const bool pooled = pool != nullptr && pool->thread_count() > 1;
+    util::Timer timer;
     lanes.resize(n);
+    // Vector lanes resume at their checkpoint without the fast-forward (see
+    // indirect_fast_forward for why).
+    const bool fast_forward = !vector_lanes();
     const auto prepare_range = [&](std::size_t lo, std::size_t hi) {
       detail::DecodeTally tally;
       for (std::size_t i = lo; i < hi; ++i) {
         detail::KernelSlot<State>& sl = slots[i];
         detail::KernelLane<State>& ln = lanes[i];
         const detail::DecodeHead head = detail::indirect_resume_head(
-            lut(), start, sl.genes, sl.prev, sl.parent_genes, sl.first_dirty,
-            opt_, rec_, tally, *sl.ev, ln.s);
+            lut(), start, sl.genes, sl.prev,
+            fast_forward ? sl.parent_genes : std::span<const Gene>{},
+            sl.first_dirty, opt_, rec_, tally, *sl.ev, ln.s);
         ln.pos = head.pos;
         ln.slot = head.kind == detail::DecodeHead::kLoop ? &sl : nullptr;
         if (head.kind == detail::DecodeHead::kFinish) {
@@ -730,6 +751,11 @@ class KernelBatchDecoder {
     } else {
       prepare_range(0, n);
     }
+    static obs::Histogram& h_prepare =
+        obs::histogram("eval.prepare_ms", obs::latency_buckets_ms());
+    static obs::Histogram& h_decode =
+        obs::histogram("eval.group_decode_ms", obs::latency_buckets_ms());
+    h_prepare.observe(timer.millis());
     std::erase_if(lanes, [](const detail::KernelLane<State>& ln) {
       return ln.slot == nullptr;
     });
@@ -739,6 +765,7 @@ class KernelBatchDecoder {
                 return a.remaining() > b.remaining();
               });
 
+    timer.reset();
     const auto decode = [&](std::size_t lo, std::size_t hi) {
       detail::DecodeTally tally;
       decode_lanes(std::span(lanes).subspan(lo, hi - lo), tally);
@@ -753,6 +780,7 @@ class KernelBatchDecoder {
     } else {
       decode(0, lanes.size());
     }
+    h_decode.observe(timer.millis());
     static obs::Counter& c_batches = obs::counter("eval.batches");
     static obs::Counter& c_lanes = obs::counter("eval.simd_lanes_used");
     c_batches.inc();
@@ -788,15 +816,26 @@ class KernelBatchDecoder {
     return {kernel_, sig_.data()};
   }
 
+  /// Whether this decoder's lanes decode on run_vector: the kernel has the
+  /// vector hooks, the CPU runs AVX-512, and no state hashes are recorded
+  /// (the vector step records none, so exact-state matching stays on the
+  /// shared loop). It decides both the decode path and whether the resume
+  /// head fast-forwards, so a vector lane never starts with a fast-forward's
+  /// signature already recorded.
+  bool vector_lanes() const noexcept {
+#if GAPLAN_AVX512_DECODE
+    if constexpr (kVectorStep) return !rec_.hashes && vector_ok_;
+#endif
+    return false;
+  }
+
   /// Decodes sorted, prepared lanes to completion: on the vector path when
-  /// the kernel and CPU allow it, else lane by lane on the shared loop.
+  /// vector_lanes(), else lane by lane on the shared loop.
   void decode_lanes(std::span<const detail::KernelLane<State>> lanes,
                     detail::DecodeTally& tally) const {
 #if GAPLAN_AVX512_DECODE
     if constexpr (kVectorStep) {
-      // The vector step records no state hashes, so exact-state matching
-      // (rec_.hashes) stays on the shared loop.
-      if (!rec_.hashes && vector_ok_) {
+      if (vector_lanes()) {
         if (rec_.sigs) {
           run_vector<true>(lanes, tally);
         } else {
@@ -838,9 +877,11 @@ class KernelBatchDecoder {
   /// genome exhausted) are masked out and their registers frozen until the
   /// whole group retires through indirect_decode_finish.
   ///
-  /// Only compiled for kVectorStep kernels and only entered behind
-  /// util::has_avx512_decode() (see decode_lanes); never records state
-  /// hashes — the dispatch keeps exact-state matching on the shared loop.
+  /// Only compiled for kVectorStep kernels and only entered when
+  /// vector_lanes(); never records state hashes — the dispatch keeps
+  /// exact-state matching on the shared loop. Its lanes were prepared
+  /// without the fast-forward, so each starts with exactly `pos` signatures
+  /// recorded and every staged signature is appended.
   template <bool RecordSigs>
   GAPLAN_AVX512_TARGET void run_vector(
       std::span<const detail::KernelLane<State>> lanes,
@@ -872,10 +913,6 @@ class KernelBatchDecoder {
                                 opscnt_a[kVL] = {};
       alignas(64) double cost_a[kVL] = {};
       Evaluation<State>* evp[kVL] = {};
-      // After a fast-forward divergence the signature for the resume
-      // position is already recorded; the first flush drops the duplicate
-      // the step loop stages unconditionally.
-      bool skip_sig[kVL] = {};
       __mmask8 gfound = 0;  ///< goal_index preset by resume: no re-detection
       for (std::size_t j = 0; j < nb; ++j) {
         const detail::KernelLane<State>& ln = lanes[base + j];
@@ -892,7 +929,7 @@ class KernelBatchDecoder {
         opscnt_a[j] = ev.ops.size();
         cost_a[j] = ev.plan_cost;
         evp[j] = &ev;
-        skip_sig[j] = RecordSigs && ev.op_signatures.size() > ln.pos;
+        assert(!RecordSigs || ev.op_signatures.size() == ln.pos);
         if (ev.goal_index != kNoGoal) {
           gfound |= static_cast<__mmask8>(1u << j);
         }
@@ -1013,13 +1050,8 @@ class KernelBatchDecoder {
         for (std::size_t j = 0; j < nb; ++j) {
           Evaluation<State>& ev = *evp[j];
           if constexpr (RecordSigs) {
-            std::size_t lo = 0;
-            if (skip_sig[j] && scnt[j] != 0) {
-              lo = 1;
-              skip_sig[j] = false;
-            }
-            if (scnt[j] > lo) {
-              ev.op_signatures.insert(ev.op_signatures.end(), &sig_st[j][lo],
+            if (scnt[j] != 0) {
+              ev.op_signatures.insert(ev.op_signatures.end(), &sig_st[j][0],
                                       &sig_st[j][scnt[j]]);
             }
           }

@@ -8,11 +8,13 @@
 // the per-slot decode and lane-spliced reproduction to one reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "../bench/without_kernel.hpp"
 #include "core/engine.hpp"
 #include "core/problem.hpp"
 #include "domains/hanoi.hpp"
@@ -277,8 +279,103 @@ TEST(KernelDecode, LaneOccupancyHanoi7Pop200) {
   ASSERT_GT(steps, 0.0);
   const double occupancy = ops / (8.0 * steps);
   RecordProperty("occupancy", std::to_string(occupancy));
-  // Measured 0.959 for this seed; 8-slot batches ran at about 0.44.
+  // Measured 0.910 for this seed (0.959 while vector lanes still ran the
+  // scalar fast-forward, whose ops counted here too); 8-slot batches ran at
+  // about 0.44.
   EXPECT_GT(occupancy, 0.9);
+}
+
+/// The fast-forward genes the kernel pass skipped over `gens` generations of
+/// a serial phase of `problem` (eval.ff_genes_skipped, read around each
+/// step_evaluate only).
+template <typename P>
+std::uint64_t kernel_ff_skipped(const P& problem, const ga::GaConfig& base,
+                                std::size_t pop, std::size_t gens) {
+  ga::GaConfig cfg = base;
+  cfg.population_size = pop;
+  ga::PhaseRunner<P> runner(problem, cfg, nullptr);
+  util::Rng rng(91);
+  runner.init(problem.initial_state(), rng);
+  std::uint64_t skipped = 0;
+  for (std::size_t g = 0; g < gens; ++g) {
+    const std::uint64_t ff0 = counter_now("eval.ff_genes_skipped");
+    runner.step_evaluate();
+    skipped += counter_now("eval.ff_genes_skipped") - ff0;
+    runner.step_reproduce(rng);
+  }
+  return skipped;
+}
+
+TEST(KernelDispatch, VectorLanesSkipFastForwardHanoi7) {
+  // Valid-ops matching on the AVX-512 step: the kernel pass resumes vector
+  // lanes at their checkpoint without the fast-forward, and its Evaluations
+  // still equal the per-slot evaluate_resume ones (the same runner over
+  // WithoutKernel<Hanoi>, which does fast-forward), generation by
+  // generation on the same trajectory.
+  if (!util::has_avx512_decode()) {
+    GTEST_SKIP() << "CPU without the AVX-512 decode";
+  }
+  using PerSlot = bench::WithoutKernel<domains::Hanoi>;
+  const domains::Hanoi hanoi(7);
+  const PerSlot per_slot(hanoi);
+  ga::GaConfig cfg;
+  cfg.population_size = 64;
+  cfg.crossover = ga::CrossoverKind::kMixed;
+  cfg.initial_length = static_cast<std::size_t>(hanoi.optimal_length());
+  cfg.max_length = 10 * cfg.initial_length;
+  cfg.stop_on_valid = false;
+  ga::PhaseRunner<domains::Hanoi> kernel(hanoi, cfg, nullptr);
+  ga::PhaseRunner<PerSlot> slotwise(per_slot, cfg, nullptr);
+  util::Rng rng_k(17);
+  util::Rng rng_s(17);
+  kernel.init(hanoi.initial_state(), rng_k);
+  slotwise.init(per_slot.initial_state(), rng_s);
+  std::uint64_t kernel_ff = 0, kernel_partial = 0, slot_ff = 0;
+  for (std::size_t g = 0; g < 12; ++g) {
+    const std::uint64_t ff0 = counter_now("eval.ff_genes_skipped");
+    const std::uint64_t partial0 = counter_now("eval.resume_partial");
+    kernel.step_evaluate();
+    const std::uint64_t ff1 = counter_now("eval.ff_genes_skipped");
+    kernel_ff += ff1 - ff0;
+    kernel_partial += counter_now("eval.resume_partial") - partial0;
+    slotwise.step_evaluate();
+    slot_ff += counter_now("eval.ff_genes_skipped") - ff1;
+    const auto& kp = kernel.population();
+    const auto& sp = slotwise.population();
+    ASSERT_EQ(kp.slots(), sp.slots());
+    for (std::size_t i = 0; i < kp.slots(); ++i) {
+      const auto& k = kp.eval(i);
+      const auto& e = sp.eval(i);
+      const std::string where =
+          "gen " + std::to_string(g) + " slot " + std::to_string(i);
+      ASSERT_TRUE(std::ranges::equal(kp.genome(i), sp.genome(i))) << where;
+      EXPECT_EQ(k.ops, e.ops) << where;
+      EXPECT_EQ(k.op_signatures, e.op_signatures) << where;
+      EXPECT_EQ(k.checkpoint_states, e.checkpoint_states) << where;
+      EXPECT_EQ(k.checkpoint_costs, e.checkpoint_costs) << where;
+      EXPECT_EQ(k.plan_cost, e.plan_cost) << where;
+      EXPECT_EQ(k.fitness, e.fitness) << where;
+      EXPECT_EQ(k.goal_index, e.goal_index) << where;
+      EXPECT_EQ(k.valid, e.valid) << where;
+      EXPECT_EQ(k.dead_end, e.dead_end) << where;
+    }
+    kernel.step_reproduce(rng_k);
+    slotwise.step_reproduce(rng_s);
+  }
+  EXPECT_GT(kernel_partial, 0u) << "no kernel lane resumed from a checkpoint";
+  EXPECT_GT(slot_ff, 0u) << "the per-slot decode never fast-forwarded";
+  EXPECT_EQ(kernel_ff, 0u) << "a vector lane ran the fast-forward";
+}
+
+TEST(KernelDispatch, ScalarLoopLanesFastForward) {
+  // Lanes that decode on the shared scalar loop keep the fast-forward: a
+  // kernel with only the scalar hooks, and exact-state matching (which
+  // records state hashes, so it never takes the vector step).
+  static const tests::ScalarKernelHanoi scalar_hanoi(6);
+  EXPECT_GT(kernel_ff_skipped(scalar_hanoi, remainder_config(), 64, 12), 0u);
+  ga::GaConfig exact = remainder_config();
+  exact.state_match = ga::StateMatchKind::kExactState;
+  EXPECT_GT(kernel_ff_skipped(hanoi6(), exact, 64, 12), 0u);
 }
 
 // The randomized domain/config sweep lives on the property substrate: see

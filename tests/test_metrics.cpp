@@ -242,6 +242,43 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
   EXPECT_NE(text.find("gaplan_eval_simd_steps_total"), std::string::npos);
 }
 
+TEST(Metrics, KernelPassSplitHistograms) {
+  // Every KernelBatchDecoder::run observes its prepare step and its group
+  // decode once each, so both histograms count exactly the passes run.
+  namespace ga = gaplan::ga;
+  namespace domains = gaplan::domains;
+  const auto hist_count = [](const char* name) -> std::uint64_t {
+    const auto snap = obs::snapshot_metrics();
+    const auto* h = snap.find_histogram(name);
+    return h != nullptr ? h->count : 0;
+  };
+  const std::uint64_t batches0 = counter_value("eval.batches");
+  const std::uint64_t prepare0 = hist_count("eval.prepare_ms");
+  const std::uint64_t decode0 = hist_count("eval.group_decode_ms");
+  const domains::Hanoi h(5);
+  ga::GaConfig cfg;
+  cfg.population_size = 30;
+  cfg.generations = 10;
+  cfg.initial_length = 16;
+  cfg.max_length = 64;
+  cfg.stop_on_valid = false;
+  ga::Engine<domains::Hanoi> engine(h, cfg);
+  gaplan::util::Rng rng(29);
+  engine.run_phase(h.initial_state(), rng, false);
+
+  const auto snap = obs::snapshot_metrics();
+  const auto* prepare = snap.find_histogram("eval.prepare_ms");
+  const auto* decode = snap.find_histogram("eval.group_decode_ms");
+  ASSERT_NE(prepare, nullptr);
+  ASSERT_NE(decode, nullptr);
+  const std::uint64_t passes = counter_value("eval.batches") - batches0;
+  EXPECT_GT(passes, 0u);
+  EXPECT_EQ(prepare->count - prepare0, passes);
+  EXPECT_EQ(decode->count - decode0, passes);
+  EXPECT_GT(prepare->sum, 0.0);
+  EXPECT_GT(decode->sum, 0.0);
+}
+
 TEST(Metrics, LatencyBucketsAreSane) {
   const auto& b = obs::latency_buckets_ms();
   ASSERT_FALSE(b.empty());
