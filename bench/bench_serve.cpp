@@ -24,8 +24,6 @@
 
 #include "bench_common.hpp"
 #include "core/multiphase.hpp"
-#include "domains/hanoi.hpp"
-#include "domains/sokoban.hpp"
 #include "obs/metrics.hpp"
 #include "server/plan_service.hpp"
 #include "server/problem_spec.hpp"
@@ -170,23 +168,9 @@ LoadResult run_serialized_baseline(const std::vector<WorkItem>& list,
   for (const WorkItem& item : list) {
     const ga::GaConfig cfg = serve::tuned_config(item.spec, ga_cfg);
     util::Timer t;
-    bool valid = false;
-    switch (item.spec.kind) {
-      case serve::ProblemKind::kHanoi: {
-        const domains::Hanoi h(item.spec.disks, item.spec.initial_stake,
-                               item.spec.goal_stake);
-        valid = ga::run_multiphase(h, cfg, item.seed).valid;
-        break;
-      }
-      case serve::ProblemKind::kSokoban: {
-        const domains::Sokoban s(serve::sokoban_catalog_level(item.spec.level));
-        valid = ga::run_multiphase(s, cfg, item.seed).valid;
-        break;
-      }
-      default:
-        break;
-    }
-    (void)valid;
+    serve::with_problem(item.spec, [&](const auto& problem) {
+      ga::run_multiphase(problem, cfg, item.seed);
+    });
     lat.push_back(t.millis());
     ++r.completed;
   }

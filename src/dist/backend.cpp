@@ -67,21 +67,29 @@ BackendPool::Backend* BackendPool::find_locked(const std::string& id) {
   return nullptr;
 }
 
-void BackendPool::mark_down_locked(Backend& b) {
-  if (b.up) {
-    b.up = false;
-    ++b.mark_downs;
-    c_mark_downs().inc();
-    std::int64_t up_now = 0;
-    for (const Backend& x : backends_) up_now += x.up ? 1 : 0;
-    g_up().set(up_now);
-  }
+void BackendPool::publish_up_count_locked() {
+  std::int64_t up_now = 0;
+  for (const Backend& x : backends_) up_now += x.up ? 1 : 0;
+  g_up().set(up_now);
+}
+
+void BackendPool::back_off_locked(Backend& b) {
   b.conn.close();
   b.backoff_ms = b.backoff_ms <= 0
                      ? cfg_.reconnect_backoff_ms
                      : std::min(b.backoff_ms * 2, cfg_.reconnect_backoff_max_ms);
   b.next_attempt_ms =
       obs::monotonic_ms() + static_cast<double>(b.backoff_ms);
+}
+
+void BackendPool::mark_down_locked(Backend& b) {
+  if (b.up) {
+    b.up = false;
+    ++b.mark_downs;
+    c_mark_downs().inc();
+    publish_up_count_locked();
+  }
+  back_off_locked(b);
 }
 
 bool BackendPool::probe(std::size_t index) {
@@ -120,23 +128,12 @@ bool BackendPool::probe(std::size_t index) {
     if (!b.up) {
       b.up = true;
       c_mark_ups().inc();
-      std::int64_t up_now = 0;
-      for (const Backend& x : backends_) up_now += x.up ? 1 : 0;
-      g_up().set(up_now);
+      publish_up_count_locked();
     }
+  } else if (was_up) {
+    mark_down_locked(b);
   } else {
-    if (was_up) {
-      mark_down_locked(b);
-    } else {
-      // Still down: advance the backoff ladder toward its cap.
-      b.backoff_ms =
-          b.backoff_ms <= 0
-              ? cfg_.reconnect_backoff_ms
-              : std::min(b.backoff_ms * 2, cfg_.reconnect_backoff_max_ms);
-      b.next_attempt_ms =
-          obs::monotonic_ms() + static_cast<double>(b.backoff_ms);
-      b.conn.close();
-    }
+    back_off_locked(b);  // still down: advance the ladder toward its cap
   }
   cv_.notify_all();
   return ok;

@@ -90,7 +90,13 @@ class BackendPool {
   };
 
   Backend* find_locked(const std::string& id) GAPLAN_REQUIRES(mu_);
+  /// Marks `b` down (counting the transition) and backs it off.
   void mark_down_locked(Backend& b) GAPLAN_REQUIRES(mu_);
+  /// Closes `b`'s connection and takes one step up the reconnect backoff
+  /// ladder (reconnect_backoff_ms, doubling to reconnect_backoff_max_ms).
+  void back_off_locked(Backend& b) GAPLAN_REQUIRES(mu_);
+  /// Recounts the up backends into the dist.backends_up gauge.
+  void publish_up_count_locked() GAPLAN_REQUIRES(mu_);
   void heartbeat_main() GAPLAN_EXCLUDES(mu_);
   /// Pings backends_[index] (checkout protocol; reconnects when needed).
   /// Returns whether the backend answered.

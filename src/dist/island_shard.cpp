@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "domains/hanoi.hpp"
-#include "domains/sliding_tile.hpp"
-#include "domains/sokoban.hpp"
-
 namespace gaplan::dist {
 
 namespace {
@@ -117,16 +113,6 @@ class ShardJobImpl final : public ShardJob {
   IslandShardRunner<P> impl_;
 };
 
-template <ga::PlanningProblem P>
-std::unique_ptr<ShardJob> make_for(P problem, const ga::GaConfig& cfg,
-                                   const ga::IslandConfig& icfg,
-                                   std::size_t begin, std::size_t end,
-                                   std::uint64_t seed,
-                                   util::ThreadPool* pool) {
-  return std::make_unique<ShardJobImpl<P>>(std::move(problem), cfg, icfg,
-                                           begin, end, seed, pool);
-}
-
 }  // namespace
 
 std::unique_ptr<ShardJob> make_shard_job(const serve::ProblemSpec& spec,
@@ -135,23 +121,11 @@ std::unique_ptr<ShardJob> make_shard_job(const serve::ProblemSpec& spec,
                                          std::size_t begin, std::size_t end,
                                          std::uint64_t seed,
                                          util::ThreadPool* pool) {
-  switch (spec.kind) {
-    case serve::ProblemKind::kHanoi:
-      return make_for(
-          domains::Hanoi(spec.disks, spec.initial_stake, spec.goal_stake), cfg,
-          icfg, begin, end, seed, pool);
-    case serve::ProblemKind::kSokoban:
-      return make_for(domains::Sokoban(serve::sokoban_catalog_level(spec.level)),
-                      cfg, icfg, begin, end, seed, pool);
-    case serve::ProblemKind::kTiles: {
-      util::Rng scramble(spec.scramble_seed);
-      const domains::SlidingTile gen(spec.tiles_n);
-      return make_for(
-          domains::SlidingTile(spec.tiles_n, gen.random_solvable(scramble)),
-          cfg, icfg, begin, end, seed, pool);
-    }
-  }
-  throw std::logic_error("unknown problem kind");
+  return serve::with_problem(
+      spec, [&](auto problem) -> std::unique_ptr<ShardJob> {
+        return std::make_unique<ShardJobImpl<decltype(problem)>>(
+            std::move(problem), cfg, icfg, begin, end, seed, pool);
+      });
 }
 
 ShardOutcome run_sharded_islands(

@@ -167,8 +167,8 @@ class IslandShardRunner {
   std::uint64_t epoch_;
 };
 
-/// Type-erased shard (the worker binary's unit of work; the domain dispatch
-/// mirrors PlanService's make_job).
+/// Type-erased shard (the worker binary's unit of work; make_shard_job builds
+/// its domain through serve::with_problem, as PlanService's jobs do).
 class ShardJob {
  public:
   virtual ~ShardJob() = default;

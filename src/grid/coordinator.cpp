@@ -22,6 +22,21 @@ const char* disruption_name(Disruption::Kind kind) {
 
 }  // namespace
 
+void apply_disruption(ResourcePool& pool, const Disruption& d) {
+  switch (d.kind) {
+    case Disruption::Kind::kOverload:
+      pool.set_load(d.machine, d.load);
+      break;
+    case Disruption::Kind::kFailure:
+      pool.set_up(d.machine, false);
+      break;
+    case Disruption::Kind::kRecovery:
+      pool.set_up(d.machine, true);
+      pool.set_load(d.machine, 0.0);
+      break;
+  }
+}
+
 void Coordinator::apply_disruption(const Disruption& d) {
   static obs::Counter& c_disruptions = obs::counter("grid.disruptions");
   c_disruptions.inc();
@@ -34,18 +49,7 @@ void Coordinator::apply_disruption(const Disruption& d) {
         .f("load", d.load)
         .emit();
   }
-  switch (d.kind) {
-    case Disruption::Kind::kOverload:
-      pool_->set_load(d.machine, d.load);
-      break;
-    case Disruption::Kind::kFailure:
-      pool_->set_up(d.machine, false);
-      break;
-    case Disruption::Kind::kRecovery:
-      pool_->set_up(d.machine, true);
-      pool_->set_load(d.machine, 0.0);
-      break;
-  }
+  grid::apply_disruption(*pool_, d);
 }
 
 ExecutionReport Coordinator::execute(const ActivityGraph& graph,

@@ -28,6 +28,12 @@ struct Disruption {
   double load = 0.0;  ///< new load for kOverload
 };
 
+/// Applies `d` to `pool`: an overload sets the machine's load, a failure
+/// takes it down, a recovery brings it up with its load reset to zero. Each
+/// effect overwrites, so replaying a time-sorted script in order is
+/// idempotent.
+void apply_disruption(ResourcePool& pool, const Disruption& d);
+
 struct TaskRecord {
   std::size_t node = 0;
   MachineId machine = 0;

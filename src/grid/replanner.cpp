@@ -14,7 +14,7 @@ namespace gaplan::grid {
 namespace {
 
 /// Replays every disruption with time <= t onto the pool. Disruption effects
-/// are idempotent under in-order replay (set_load / set_up overwrite), so
+/// are idempotent under in-order replay (apply_disruption overwrites), so
 /// re-applying events the coordinator already delivered is harmless — this is
 /// how the manager brings the pool up to date when it advances simulation
 /// time without executing anything (recovery waits, planning latency).
@@ -23,18 +23,7 @@ void replay_disruptions_until(ResourcePool& pool,
                               double t) {
   for (const Disruption& d : disruptions) {
     if (d.time > t) break;
-    switch (d.kind) {
-      case Disruption::Kind::kOverload:
-        pool.set_load(d.machine, d.load);
-        break;
-      case Disruption::Kind::kFailure:
-        pool.set_up(d.machine, false);
-        break;
-      case Disruption::Kind::kRecovery:
-        pool.set_up(d.machine, true);
-        pool.set_load(d.machine, 0.0);
-        break;
-    }
+    apply_disruption(pool, d);
   }
 }
 

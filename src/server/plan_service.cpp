@@ -7,11 +7,8 @@
 
 #include "analysis/config_lint.hpp"
 #include "analysis/problem_lint.hpp"
-#include "core/engine.hpp"
+#include "core/multiphase.hpp"
 #include "core/problem.hpp"
-#include "domains/hanoi.hpp"
-#include "domains/sliding_tile.hpp"
-#include "domains/sokoban.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/server_lint.hpp"
@@ -50,100 +47,58 @@ class JobBase {
   virtual CachedPlan take_result() = 0;
 };
 
-/// run_multiphase_from (core/multiphase.hpp) unrolled so each loop iteration
-/// is a separate call. The Engine is constructed once and the Rng advanced
-/// identically, so the finished plan is bit-identical to a direct
-/// run_multiphase(problem, cfg, seed) — the property the plan cache relies
-/// on (and tests assert).
+/// A served run: the problem, its Rng and the core multi-phase driver
+/// (core/multiphase.hpp), stepped one phase per run_phase() call. The Rng is
+/// seeded and advanced exactly as run_multiphase(problem, cfg, seed) does, so
+/// the finished plan is that direct run's plan — the property the plan cache
+/// relies on (and tests assert).
 template <ga::PlanningProblem P>
 class Job final : public JobBase {
  public:
   Job(P problem, const ga::GaConfig& cfg, std::uint64_t seed,
       util::ThreadPool* pool)
       : problem_(std::move(problem)),
-        cfg_(cfg),
         rng_(seed),
-        engine_(problem_, cfg_, pool),
-        current_(problem_.initial_state()),
-        single_phase_(cfg.phases == 1) {
-    out_.goal_fitness = problem_.goal_fitness(current_);
-  }
+        run_(problem_, cfg, problem_.initial_state(), pool) {}
+  Job(const Job&) = delete;  // run_ points at problem_
+  Job& operator=(const Job&) = delete;
 
   bool run_phase(obs::SpanContext ctx) override {
-    ga::PhaseResult<typename P::StateT> pr = engine_.run_phase(
-        current_, rng_, single_phase_ && cfg_.stop_on_valid, ctx);
-    out_.generations_total += pr.generations_run;
-    out_.phases_run = phase_ + 1;
-
-    const auto& best = pr.best.eval;
-    const bool accept = best.valid || !cfg_.monotone_phases ||
-                        best.goal_fit > problem_.goal_fitness(current_);
-    if (accept) {
-      out_.plan.insert(out_.plan.end(), best.ops.begin(), best.ops.end());
-      current_ = best.final_state;
-      out_.goal_fitness = best.goal_fit;
-    }
-    if (best.valid) out_.valid = true;
-    ++phase_;
-    return out_.valid || phase_ >= cfg_.phases;
+    run_.step(rng_, ctx);
+    return run_.done();
   }
 
   CachedPlan take_result() override {
-    out_.plan_cost = ga::plan_cost(problem_, problem_.initial_state(), out_.plan);
-    return std::move(out_);
+    ga::MultiPhaseResult<typename P::StateT> r = run_.take_result();
+    CachedPlan out;
+    out.plan_cost = ga::plan_cost(problem_, problem_.initial_state(), r.plan);
+    out.plan = std::move(r.plan);
+    out.valid = r.valid;
+    out.goal_fitness = r.goal_fitness;
+    out.phases_run = r.phases_run;
+    out.generations_total = r.generations_total;
+    return out;
   }
 
  private:
-  P problem_;
-  ga::GaConfig cfg_;
+  P problem_;  ///< declared before run_, which points at it
   util::Rng rng_;
-  ga::Engine<P> engine_;
-  typename P::StateT current_;
-  CachedPlan out_;
-  std::size_t phase_ = 0;
-  bool single_phase_;
+  ga::MultiPhaseRun<P> run_;
 };
 
 std::unique_ptr<JobBase> make_job(const ProblemSpec& spec,
                                   const ga::GaConfig& cfg, std::uint64_t seed,
                                   util::ThreadPool* pool) {
-  switch (spec.kind) {
-    case ProblemKind::kHanoi:
-      return std::make_unique<Job<domains::Hanoi>>(
-          domains::Hanoi(spec.disks, spec.initial_stake, spec.goal_stake), cfg,
-          seed, pool);
-    case ProblemKind::kSokoban:
-      return std::make_unique<Job<domains::Sokoban>>(
-          domains::Sokoban(sokoban_catalog_level(spec.level)), cfg, seed, pool);
-    case ProblemKind::kTiles: {
-      util::Rng scramble(spec.scramble_seed);
-      const domains::SlidingTile gen(spec.tiles_n);
-      return std::make_unique<Job<domains::SlidingTile>>(
-          domains::SlidingTile(spec.tiles_n, gen.random_solvable(scramble)),
-          cfg, seed, pool);
-    }
-  }
-  throw std::logic_error("unknown problem kind");
+  return with_problem(spec, [&](auto problem) -> std::unique_ptr<JobBase> {
+    return std::make_unique<Job<decltype(problem)>>(std::move(problem), cfg,
+                                                    seed, pool);
+  });
 }
 
 analysis::Report lint_spec_problem(const ProblemSpec& spec) {
-  switch (spec.kind) {
-    case ProblemKind::kHanoi:
-      return analysis::lint_problem(
-          domains::Hanoi(spec.disks, spec.initial_stake, spec.goal_stake),
-          spec.text());
-    case ProblemKind::kSokoban:
-      return analysis::lint_problem(
-          domains::Sokoban(sokoban_catalog_level(spec.level)), spec.text());
-    case ProblemKind::kTiles: {
-      util::Rng scramble(spec.scramble_seed);
-      const domains::SlidingTile gen(spec.tiles_n);
-      return analysis::lint_problem(
-          domains::SlidingTile(spec.tiles_n, gen.random_solvable(scramble)),
-          spec.text());
-    }
-  }
-  return {};
+  return with_problem(spec, [&](const auto& problem) {
+    return analysis::lint_problem(problem, spec.text());
+  });
 }
 
 /// One admitted request's full lifecycle. Guarded by PlanService::mu_ except
@@ -309,14 +264,12 @@ SubmitOutcome PlanService::submit(PlanRequest req) {
 
   // Admission gate 1: lint. A request that would run with a broken GaConfig
   // (or an inconsistent problem) is rejected before it can occupy a slot.
-  if (cfg_.lint_requests) {
-    analysis::Report gate = analysis::lint_config(req.config);
-    gate.merge(detail::lint_spec_problem(req.problem));
-    if (gate.has_errors()) {
-      gate.emit_to_journal("server");
-      out.diagnostics = std::move(gate);
-      return reject("lint");
-    }
+  analysis::Report gate = analysis::lint_config(req.config);
+  gate.merge(detail::lint_spec_problem(req.problem));
+  if (gate.has_errors()) {
+    gate.emit_to_journal("server");
+    out.diagnostics = std::move(gate);
+    return reject("lint");
   }
 
   FingerprintHasher h;

@@ -26,7 +26,11 @@
 //
 // Thread-safety: every public method may be called from any thread.
 // Determinism: a served plan is bit-identical to run_multiphase() with the
-// same problem, config, and seed — cached or fresh (tested).
+// same problem, config, and seed — cached or fresh. This holds by
+// construction: a request's job builds its problem through with_problem()
+// and steps the same ga::MultiPhaseRun that run_multiphase_from() loops
+// over, with an Rng seeded the same way (tests/test_prop_server.cpp checks
+// it on every spec kind).
 #pragma once
 
 #include <cstdint>

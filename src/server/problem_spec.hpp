@@ -3,8 +3,10 @@
 // A ProblemSpec is a small, canonical description of a planning problem —
 // domain kind plus parameters — that (a) fully determines the start and goal
 // states, (b) fingerprints deterministically for the plan cache, and (c)
-// instantiates the corresponding domain object on demand. Specs parse from
-// the same `name:arg[:arg]` strings planner_cli uses:
+// instantiates the corresponding domain object on demand through
+// with_problem(), the one place a spec becomes a domain, so every consumer
+// plans the puzzle the fingerprint names. Specs parse from the same
+// `name:arg[:arg]` strings planner_cli uses:
 //
 //   hanoi:DISKS[:INITIAL_STAKE:GOAL_STAKE]   Towers of Hanoi
 //   sokoban:LEVEL                            built-in Sokoban catalog level
@@ -17,11 +19,18 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
+#include "domains/hanoi.hpp"
+#include "domains/sliding_tile.hpp"
+#include "domains/sokoban.hpp"
 #include "server/fingerprint.hpp"
+#include "util/rng.hpp"
 
 namespace gaplan::serve {
 
@@ -58,6 +67,30 @@ std::size_t sokoban_catalog_size() noexcept;
 
 /// Rows of catalog level `index` (precondition: index < catalog size).
 const std::vector<std::string>& sokoban_catalog_level(std::size_t index);
+
+/// Builds the domain `spec` describes and returns `fn(domain)`; the domain is
+/// passed as an rvalue, so `fn` may take it by value and keep it. Every
+/// branch's result converts to what `fn` returns for Hanoi. A tiles spec's
+/// puzzle is the solvable scramble drawn from its scramble seed.
+template <typename Fn>
+std::invoke_result_t<Fn, domains::Hanoi> with_problem(const ProblemSpec& spec,
+                                                      Fn&& fn) {
+  switch (spec.kind) {
+    case ProblemKind::kHanoi:
+      return std::forward<Fn>(fn)(
+          domains::Hanoi(spec.disks, spec.initial_stake, spec.goal_stake));
+    case ProblemKind::kSokoban:
+      return std::forward<Fn>(fn)(
+          domains::Sokoban(sokoban_catalog_level(spec.level)));
+    case ProblemKind::kTiles: {
+      util::Rng scramble(spec.scramble_seed);
+      const domains::SlidingTile gen(spec.tiles_n);
+      return std::forward<Fn>(fn)(
+          domains::SlidingTile(spec.tiles_n, gen.random_solvable(scramble)));
+    }
+  }
+  throw std::logic_error("unknown problem kind");
+}
 
 /// GA defaults tuned per problem shape (genome length scales with the
 /// domain's solution depth, as planner_cli does). Fields the caller already

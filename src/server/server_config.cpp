@@ -24,7 +24,6 @@ std::string ServerConfig::summary() const {
   out << " cache=" << cache_capacity << "x" << cache_shards
       << " slice=" << slice_phases;
   if (default_deadline_ms > 0.0) out << " deadline=" << default_deadline_ms << "ms";
-  if (!lint_requests) out << " lint=off";
   if (!metrics_dump_path.empty()) {
     out << " metrics=" << metrics_dump_path << "@" << metrics_dump_ms << "ms";
   }
@@ -115,10 +114,6 @@ KeyStatus set_server_key(ServerConfig& config, const std::string& key,
     ok = parse_ms(value, config.max_deadline_ms);
   } else if (key == "slice-phases") {
     ok = parse_size(value, config.slice_phases);
-  } else if (key == "lint-requests") {
-    std::size_t flag = 1;
-    ok = parse_size(value, flag);
-    if (ok) config.lint_requests = flag != 0;
   } else if (key == "metrics-dump-path") {
     config.metrics_dump_path = value;
   } else if (key == "metrics-dump-ms") {

@@ -50,9 +50,6 @@ struct ServerConfig {
   /// GA phases a request runs per scheduling slice before offering to yield
   /// its worker slot to waiting work of equal or higher priority.
   std::size_t slice_phases = 1;
-  /// Run the static-analysis gate (config + problem lint) before admission;
-  /// lint errors reject the request with its diagnostics attached.
-  bool lint_requests = true;
   /// Live telemetry plane: when non-empty, the server front end runs an
   /// obs::MetricsDumper rewriting this file with the Prometheus text
   /// exposition every metrics_dump_ms (the GAPLAN_METRICS_DUMP env var

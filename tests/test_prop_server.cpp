@@ -16,6 +16,8 @@
 
 #include "core/multiphase.hpp"
 #include "domains/hanoi.hpp"
+#include "domains/sliding_tile.hpp"
+#include "domains/sokoban.hpp"
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
 #include "server/fingerprint.hpp"
@@ -374,28 +376,49 @@ TEST(PropServer, PlanCacheKeepsBoundsUnderRandomOpStream) {
 // ---------------------------------------------------------------------------
 // Invariant: serve ≡ direct — a plan served through PlanService (queue,
 // worker thread, cache) is bit-identical to run_multiphase called directly
-// with the same tuned config and seed, for random GA shapes and seeds.
+// with the same tuned config and seed, for random GA shapes and seeds, on
+// every spec kind. The direct run builds its problem here, from the case's
+// own parameters, so a drift in the service's spec→domain factory (the
+// tiles scramble included) fails the comparison.
 // ---------------------------------------------------------------------------
 
 struct ServeCase {
-  int disks = 3;
+  int kind = 0;  ///< 0 hanoi:ARG, 1 sokoban:ARG, 2 tiles:ARG:SCRAMBLE
+  int arg = 3;   ///< disks, catalog level, or board size
+  std::uint64_t scramble = 7;
   ga::GaConfig cfg;
   std::uint64_t seed = 1;
 };
+
+std::string serve_spec_text(const ServeCase& c) {
+  switch (c.kind) {
+    case 0: return "hanoi:" + std::to_string(c.arg);
+    case 1: return "sokoban:" + std::to_string(c.arg);
+    default:
+      return "tiles:" + std::to_string(c.arg) + ":" + std::to_string(c.scramble);
+  }
+}
 
 prop::Gen<ServeCase> serve_case() {
   prop::Gen<ServeCase> g;
   g.sample = [](util::Rng& rng) {
     ServeCase c;
-    c.disks = 3 + static_cast<int>(rng.below(2));
+    c.kind = static_cast<int>(rng.below(3));
+    switch (c.kind) {
+      case 0: c.arg = 3 + static_cast<int>(rng.below(2)); break;
+      case 1: c.arg = static_cast<int>(rng.below(sokoban_catalog_size())); break;
+      default:
+        c.arg = 3 + static_cast<int>(rng.below(2));
+        c.scramble = rng.below(std::uint64_t{1} << 32);
+        break;
+    }
     c.cfg = prop::random_config(rng);
     c.cfg.phases = 1 + rng.below(3);
     c.seed = rng();
     return c;
   };
   g.show = [](const ServeCase& c) {
-    return "hanoi:" + std::to_string(c.disks) +
-           " seed=" + std::to_string(c.seed) +
+    return serve_spec_text(c) + " seed=" + std::to_string(c.seed) +
            " phases=" + std::to_string(c.cfg.phases) + " " + c.cfg.summary();
   };
   return g;
@@ -414,8 +437,7 @@ TEST(PropServer, ServedPlanMatchesDirectRun) {
 
         PlanRequest req;
         std::string err;
-        const auto spec =
-            ProblemSpec::parse("hanoi:" + std::to_string(c.disks), err);
+        const auto spec = ProblemSpec::parse(serve_spec_text(c), err);
         ASSERT_TRUE(spec.has_value()) << err;
         req.problem = *spec;
         req.config = c.cfg;
@@ -427,16 +449,35 @@ TEST(PropServer, ServedPlanMatchesDirectRun) {
         ASSERT_TRUE(st.has_value());
         ASSERT_EQ(st->state, RequestState::kDone);
 
-        const domains::Hanoi h(c.disks, 0, 1);
-        const auto direct = ga::run_multiphase(
-            h, tuned_config(req.problem, req.config), req.seed);
-        EXPECT_EQ(st->plan, direct.plan);
-        EXPECT_EQ(st->plan_valid, direct.valid);
-        EXPECT_EQ(st->goal_fitness, direct.goal_fitness);
-        EXPECT_EQ(st->phases_run, direct.phases_run);
-        EXPECT_EQ(st->generations_total, direct.generations_total);
+        const ga::GaConfig cfg = tuned_config(req.problem, req.config);
+        const auto expect_direct = [&](const auto& problem) {
+          const auto direct = ga::run_multiphase(problem, cfg, req.seed);
+          EXPECT_EQ(st->plan, direct.plan);
+          EXPECT_EQ(st->plan_valid, direct.valid);
+          EXPECT_EQ(st->goal_fitness, direct.goal_fitness);
+          EXPECT_EQ(st->phases_run, direct.phases_run);
+          EXPECT_EQ(st->generations_total, direct.generations_total);
+          EXPECT_EQ(st->plan_cost,
+                    ga::plan_cost(problem, problem.initial_state(), direct.plan));
+        };
+        switch (c.kind) {
+          case 0:
+            expect_direct(domains::Hanoi(c.arg, 0, 1));
+            break;
+          case 1:
+            expect_direct(domains::Sokoban(
+                sokoban_catalog_level(static_cast<std::size_t>(c.arg))));
+            break;
+          default: {
+            util::Rng scramble(c.scramble);
+            const domains::SlidingTile solved(c.arg);
+            expect_direct(
+                domains::SlidingTile(c.arg, solved.random_solvable(scramble)));
+            break;
+          }
+        }
       },
-      {.iterations = 10});
+      {.iterations = 12});
 }
 
 }  // namespace
