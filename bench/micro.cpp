@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/crossover.hpp"
+#include "core/decoder.hpp"
 #include "core/fitness.hpp"
 #include "core/mutation.hpp"
 #include "domains/hanoi.hpp"
@@ -92,6 +93,41 @@ void BM_DecodeIndirectTile(benchmark::State& state) {
                           static_cast<std::int64_t>(genes.size()));
 }
 BENCHMARK(BM_DecodeIndirectTile)->Arg(64)->Arg(640);
+
+// The population-wide kernel decode of a served tiles:N puzzle (scramble seed
+// 7): 200 cold slots of 4·n² genes per run. n = 3 and 4 take the AVX-512
+// group step where the CPU has it; n = 5 decodes on the shared scalar loop.
+// Items are decoded ops, so the rate reads as ns per op.
+void BM_KernelDecodeTile(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  util::Rng scramble(7);
+  const domains::SlidingTile gen(n);
+  const domains::SlidingTile p(n, gen.random_solvable(scramble));
+  ga::DecodeOptions opt;
+  opt.checkpoint_stride = ga::GaConfig{}.eval_checkpoint_stride;
+  const ga::KernelBatchDecoder<domains::SlidingTile> kernel(p, opt, false);
+  util::Rng rng(4);
+  std::vector<ga::Genome> genomes;
+  std::vector<ga::Evaluation<domains::TileState>> evals(200);
+  std::vector<ga::detail::KernelSlot<domains::TileState>> slots(200);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    genomes.push_back(random_genome(static_cast<std::size_t>(4 * n * n), rng));
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i].genes = genomes[i];
+    slots[i].ev = &evals[i];
+  }
+  std::vector<ga::detail::KernelLane<domains::TileState>> lanes;
+  kernel.run(p.initial_state(), slots, lanes, nullptr);
+  std::int64_t ops = 0;
+  for (const auto& ev : evals) ops += static_cast<std::int64_t>(ev.ops.size());
+  for (auto _ : state) {
+    kernel.run(p.initial_state(), slots, lanes, nullptr);
+    benchmark::DoNotOptimize(evals.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ops);
+}
+BENCHMARK(BM_KernelDecodeTile)->Arg(3)->Arg(4)->Arg(5);
 
 void BM_EvaluateFull(benchmark::State& state) {
   const domains::Hanoi h(6);

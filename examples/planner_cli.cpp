@@ -2,7 +2,8 @@
 // planner or any baseline search — the "downstream user" front end.
 //
 //   planner_cli <file.strips> [options]
-//   planner_cli --builtin hanoi:5 | tiles:3:SEED | cube:6:SEED [options]
+//   planner_cli --builtin hanoi:5 | sokoban:1 | tiles:3:SEED | cube:6:SEED
+//               [options]
 //     --lifted              file uses the lifted (schema) syntax
 //     --problem N           which (problem ...) block to solve (default 0)
 //     --algo ga|bfs|astar|greedy|hillclimb|randomwalk   (default ga)
@@ -12,7 +13,12 @@
 //     --simplify            post-optimize the plan (loop excision)
 //     --quiet               print only the verdict line
 //
+// Built-in specs other than cube: are the planning service's
+// (server/problem_spec.hpp): the same parser, puzzle and genome lengths. A
+// malformed or surplus field is a usage error.
+//
 // Exit status: 0 when a valid plan was found, 1 otherwise, 2 on usage errors.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -27,6 +33,7 @@
 #include "search/bfs.hpp"
 #include "search/hill_climb.hpp"
 #include "search/random_walk.hpp"
+#include "server/problem_spec.hpp"
 #include "strips/lifted.hpp"
 #include "strips/reader.hpp"
 #include "strips/validator.hpp"
@@ -38,7 +45,8 @@ using namespace gaplan;
 
 struct Options {
   std::string file;
-  std::string builtin;  ///< "hanoi:N", "tiles:N[:SEED]", "cube:DEPTH[:SEED]"
+  std::string builtin;  ///< a ProblemSpec string or "cube:DEPTH[:SEED]"
+  bool lengths_given = false;  ///< --initlen or --maxlen on the command line
   bool lifted = false;
   std::size_t problem_index = 0;
   std::string algo = "ga";
@@ -51,7 +59,8 @@ struct Options {
 void usage() {
   std::fprintf(stderr,
                "usage: planner_cli <file.strips> [--lifted] [--problem N]\n"
-               "       planner_cli --builtin hanoi:N|tiles:N[:SEED]|cube:DEPTH[:SEED]\n"
+               "       planner_cli --builtin hanoi:N[:FROM:TO]|sokoban:LEVEL|\n"
+               "                             tiles:N[:SEED]|cube:DEPTH[:SEED]\n"
                "       [--algo ga|bfs|astar|greedy|hillclimb|randomwalk]\n"
                "       [--pop N] [--gens N] [--phases N] [--initlen N] [--maxlen N]\n"
                "       [--crossover random|state-aware|mixed|uniform]\n"
@@ -111,10 +120,12 @@ std::optional<Options> parse_args(int argc, char** argv) {
       const char* v = need_value(i);
       if (!v) return std::nullopt;
       opt.ga.initial_length = std::strtoull(v, nullptr, 10);
+      opt.lengths_given = true;
     } else if (std::strcmp(arg, "--maxlen") == 0) {
       const char* v = need_value(i);
       if (!v) return std::nullopt;
       opt.ga.max_length = std::strtoull(v, nullptr, 10);
+      opt.lengths_given = true;
     } else if (std::strcmp(arg, "--seed") == 0) {
       const char* v = need_value(i);
       if (!v) return std::nullopt;
@@ -212,8 +223,50 @@ int solve_and_report(const Options& opt, const P& problem) {
   return valid ? 0 : 1;
 }
 
-/// Parses "name:arg[:arg]" built-in domain specs and dispatches.
-int solve_builtin(const Options& opt) {
+void describe(const domains::Hanoi& hanoi) {
+  std::printf("built-in: %d-disk Towers of Hanoi (optimal %llu moves)\n",
+              hanoi.disks(),
+              static_cast<unsigned long long>(hanoi.optimal_length()));
+}
+
+void describe(const domains::Sokoban& sokoban) {
+  std::printf("built-in: Sokoban level\n%s",
+              sokoban.render(sokoban.initial_state()).c_str());
+}
+
+void describe(const domains::SlidingTile& puzzle) {
+  std::printf("built-in: random solvable %dx%d puzzle\n%s", puzzle.n(),
+              puzzle.n(), puzzle.render(puzzle.initial_state()).c_str());
+}
+
+/// Parses field `i` of the `--builtin` spec `parts` as an integer in
+/// [0, hi]; an absent or empty field keeps `out`. Names the field in the
+/// diagnostic on failure.
+bool parse_field(const Options& opt, const std::vector<std::string>& parts,
+                 std::size_t i, const char* what, unsigned long long hi,
+                 unsigned long long& out) {
+  if (parts.size() <= i || parts[i].empty()) return true;
+  const std::string& field = parts[i];
+  unsigned long long v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(field.data(), field.data() + field.size(), v);
+  if (ec != std::errc{} || ptr != field.data() + field.size()) {
+    std::fprintf(stderr,
+                 "planner_cli: --builtin: %s is not an integer in '%s'\n", what,
+                 opt.builtin.c_str());
+    return false;
+  }
+  if (v > hi) {
+    std::fprintf(stderr, "planner_cli: --builtin: %s out of range in '%s'\n",
+                 what, opt.builtin.c_str());
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+/// Solves "cube:DEPTH[:SEED]", a pocket cube scrambled DEPTH moves.
+int solve_cube(const Options& opt) {
   std::vector<std::string> parts;
   std::string cur;
   for (const char c : opt.builtin) {
@@ -225,52 +278,64 @@ int solve_builtin(const Options& opt) {
     }
   }
   parts.push_back(cur);
-  auto arg_at = [&](std::size_t i, long long fallback) {
-    return parts.size() > i ? std::strtoll(parts[i].c_str(), nullptr, 10)
-                            : fallback;
-  };
-  if (parts[0] == "hanoi") {
-    const int disks = static_cast<int>(arg_at(1, 4));
-    domains::Hanoi hanoi(disks);
-    Options adjusted = opt;
-    adjusted.ga.initial_length = static_cast<std::size_t>(hanoi.optimal_length());
-    adjusted.ga.max_length = 10 * adjusted.ga.initial_length;
-    if (!opt.quiet) {
-      std::printf("built-in: %d-disk Towers of Hanoi (optimal %llu moves)\n",
-                  disks,
-                  static_cast<unsigned long long>(hanoi.optimal_length()));
-    }
-    return solve_and_report(adjusted, hanoi);
+  if (parts.size() > 3) {
+    std::fprintf(stderr,
+                 "planner_cli: --builtin: too many fields in '%s' (want "
+                 "cube:DEPTH[:SEED])\n",
+                 opt.builtin.c_str());
+    return 2;
   }
-  if (parts[0] == "tiles") {
-    const int n = static_cast<int>(arg_at(1, 3));
-    util::Rng rng(static_cast<std::uint64_t>(arg_at(2, 7)));
-    const domains::SlidingTile gen(n);
-    const domains::SlidingTile puzzle(n, gen.random_solvable(rng));
-    Options adjusted = opt;
-    adjusted.ga.initial_length = static_cast<std::size_t>(4 * n * n);
-    adjusted.ga.max_length = 10 * adjusted.ga.initial_length;
-    if (!opt.quiet) {
-      std::printf("built-in: random solvable %dx%d puzzle\n%s", n, n,
-                  puzzle.render(puzzle.initial_state()).c_str());
-    }
-    return solve_and_report(adjusted, puzzle);
+  unsigned long long depth = 5;
+  unsigned long long seed = 7;
+  if (!parse_field(opt, parts, 1, "depth", 1000, depth) ||
+      !parse_field(opt, parts, 2, "seed", ~0ULL, seed)) {
+    return 2;
   }
-  if (parts[0] == "cube") {
-    const std::size_t depth = static_cast<std::size_t>(arg_at(1, 5));
-    util::Rng rng(static_cast<std::uint64_t>(arg_at(2, 7)));
-    domains::PocketCube cube;
-    cube.set_initial(cube.scrambled(depth, rng));
-    Options adjusted = opt;
-    adjusted.ga.initial_length = std::max<std::size_t>(12, 3 * depth);
+  util::Rng rng(seed);
+  domains::PocketCube cube;
+  cube.set_initial(cube.scrambled(depth, rng));
+  Options adjusted = opt;
+  if (!opt.lengths_given) {
+    adjusted.ga.initial_length =
+        std::max<std::size_t>(12, 3 * static_cast<std::size_t>(depth));
     adjusted.ga.max_length = 10 * adjusted.ga.initial_length;
-    if (!opt.quiet) {
-      std::printf("built-in: pocket cube, %zu-move scramble\n", depth);
-    }
-    return solve_and_report(adjusted, cube);
   }
-  std::fprintf(stderr, "planner_cli: unknown built-in '%s'\n", parts[0].c_str());
-  return 2;
+  if (!opt.quiet) {
+    std::printf("built-in: pocket cube, %llu-move scramble\n", depth);
+  }
+  return solve_and_report(adjusted, cube);
+}
+
+/// Solves a built-in domain. hanoi:, sokoban: and tiles: specs go through
+/// the planning service's parser, domain factory and genome-length tuning,
+/// so planner_cli plans the puzzle a served request of the same spec does.
+int solve_builtin(const Options& opt) {
+  const std::string kind = opt.builtin.substr(0, opt.builtin.find(':'));
+  if (kind == "cube") return solve_cube(opt);
+  if (kind != "hanoi" && kind != "sokoban" && kind != "tiles") {
+    std::fprintf(stderr,
+                 "planner_cli: --builtin: unknown built-in '%s' (want "
+                 "hanoi|sokoban|tiles|cube)\n",
+                 kind.c_str());
+    return 2;
+  }
+  std::string error;
+  const auto spec = serve::ProblemSpec::parse(opt.builtin, error);
+  if (!spec) {
+    std::fprintf(stderr, "planner_cli: --builtin: %s\n", error.c_str());
+    return 2;
+  }
+  Options tuned = opt;
+  if (!opt.lengths_given) {
+    const ga::GaConfig stock;
+    tuned.ga.initial_length = stock.initial_length;
+    tuned.ga.max_length = stock.max_length;
+  }
+  tuned.ga = serve::tuned_config(*spec, tuned.ga);
+  return serve::with_problem(*spec, [&](const auto& problem) {
+    if (!opt.quiet) describe(problem);
+    return solve_and_report(tuned, problem);
+  });
 }
 
 }  // namespace

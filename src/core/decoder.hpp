@@ -796,20 +796,49 @@ class KernelBatchDecoder {
 
  private:
 #if GAPLAN_AVX512_DECODE
+  /// A kernel whose state is not one 64-bit word packs it into one lane word
+  /// through to_word/from_word (from_word rebuilds any derived fields);
+  /// word_lanes() says at run time whether this instance's states fit (see
+  /// TileKernel).
+  static constexpr bool kWordCodec =
+      requires(const KernelT& k, const State& s, std::uint64_t w) {
+        { k.to_word(s) } -> std::same_as<std::uint64_t>;
+        { k.from_word(w) } -> std::same_as<State>;
+        { k.word_lanes() } -> std::same_as<bool>;
+      };
+
   /// A kernel opts into the 8-lane vector decode (run_vector) by exposing the
   /// three hooks lut_index8 / apply8 / is_goal8 plus the kUnitOpCost trait
   /// (see HanoiKernel), for states that are one trivially-copyable 64-bit
-  /// word — the lane payload is the raw state bit pattern.
+  /// word — the lane payload is the raw state bit pattern — or that the
+  /// kernel's lane-word codec packs into one.
   // (Expression-only checks: naming __m512i as a template argument of a
   // return-type-requirement would drop its alignment attributes and warn.)
   static constexpr bool kVectorStep =
-      sizeof(State) == 8 && std::is_trivially_copyable_v<State> &&
+      (kWordCodec ||
+       (sizeof(State) == 8 && std::is_trivially_copyable_v<State>)) &&
       requires(const KernelT& k, __m512i v, __mmask8 lanes) {
         requires KernelT::kUnitOpCost;
         k.lut_index8(v);
         k.apply8(v, v, lanes);
         { k.is_goal8(v) } -> std::same_as<__mmask8>;
       };
+
+  /// A state's lane word: the kernel's codec, else the raw bit pattern.
+  std::uint64_t to_lane(const State& s) const noexcept {
+    if constexpr (kWordCodec) {
+      return kernel_.to_word(s);
+    } else {
+      return std::bit_cast<std::uint64_t>(s);
+    }
+  }
+  State from_lane(std::uint64_t w) const noexcept {
+    if constexpr (kWordCodec) {
+      return kernel_.from_word(w);
+    } else {
+      return std::bit_cast<State>(w);
+    }
+  }
 #endif
 
   detail::LutOps<KernelT> lut() const noexcept {
@@ -817,14 +846,18 @@ class KernelBatchDecoder {
   }
 
   /// Whether this decoder's lanes decode on run_vector: the kernel has the
-  /// vector hooks, the CPU runs AVX-512, and no state hashes are recorded
-  /// (the vector step records none, so exact-state matching stays on the
-  /// shared loop). It decides both the decode path and whether the resume
-  /// head fast-forwards, so a vector lane never starts with a fast-forward's
-  /// signature already recorded.
+  /// vector hooks, its states fit a lane word, the CPU runs AVX-512, and no
+  /// state hashes are recorded (the vector step records none, so exact-state
+  /// matching stays on the shared loop). It decides both the decode path and
+  /// whether the resume head fast-forwards, so a vector lane never starts
+  /// with a fast-forward's signature already recorded.
   bool vector_lanes() const noexcept {
 #if GAPLAN_AVX512_DECODE
-    if constexpr (kVectorStep) return !rec_.hashes && vector_ok_;
+    if constexpr (kVectorStep) {
+      bool fits = true;
+      if constexpr (kWordCodec) fits = kernel_.word_lanes();
+      return fits && !rec_.hashes && vector_ok_;
+    }
 #endif
     return false;
   }
@@ -917,7 +950,7 @@ class KernelBatchDecoder {
       for (std::size_t j = 0; j < nb; ++j) {
         const detail::KernelLane<State>& ln = lanes[base + j];
         Evaluation<State>& ev = *ln.slot->ev;
-        p_a[j] = std::bit_cast<std::uint64_t>(ln.s);
+        p_a[j] = to_lane(ln.s);
         pos_a[j] = ln.pos;
         n_a[j] = ln.slot->genes.size();
         until_a[j] = opt_.checkpoint_stride != 0
@@ -1059,7 +1092,7 @@ class KernelBatchDecoder {
             ev.ops.insert(ev.ops.end(), &op_st[j][0], &op_st[j][ocnt[j]]);
           }
           for (std::size_t c = 0; c < ccnt[j]; ++c) {
-            ev.checkpoint_states.push_back(std::bit_cast<State>(cks_st[j][c]));
+            ev.checkpoint_states.push_back(from_lane(cks_st[j][c]));
           }
           if (ccnt[j] != 0) {
             ev.checkpoint_costs.insert(ev.checkpoint_costs.end(),
@@ -1073,7 +1106,7 @@ class KernelBatchDecoder {
       _mm512_store_pd(cost_a, cost_v);
       for (std::size_t j = 0; j < nb; ++j) {
         evp[j]->plan_cost = cost_a[j];
-        State fs = std::bit_cast<State>(p_a[j]);
+        State fs = from_lane(p_a[j]);
         detail::indirect_decode_finish(lut(), opt_, rec_, tally, *evp[j], fs);
       }
     }

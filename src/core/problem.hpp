@@ -68,7 +68,8 @@ struct PackedOps {
 /// carrying a lookup table of packed operation sets plus inline
 /// apply/cost/hash/goal replicas. The decoder runs the same decode core as
 /// the per-slot path over this LUT (detail::LutOps); a kernel may add the
-/// 8-lane hooks of HanoiKernel for the AVX-512 group step. The kernel MUST
+/// 8-lane hooks of HanoiKernel for the AVX-512 group step, plus a lane-word
+/// codec when its state is not one 64-bit word (TileKernel). The kernel MUST
 /// agree bit-for-bit with the domain's own valid_ops/apply/op_cost/hash/
 /// is_goal — tests/test_prop_kernel.cpp checks that on random walks, and the
 /// engine's trajectories are held to golden fixtures recorded with the

@@ -71,12 +71,7 @@ void SlidingTile::valid_ops(const TileState& s, std::vector<int>& out) const {
 }
 
 void SlidingTile::apply(TileState& s, int op) const noexcept {
-  static constexpr int kRowDelta[4] = {-1, 1, 0, 0};
-  static constexpr int kColDelta[4] = {0, 0, -1, 1};
-  const int target = (row(s.blank) + kRowDelta[op]) * n_ + (col(s.blank) + kColDelta[op]);
-  s.cells[s.blank] = s.cells[target];
-  s.cells[target] = 0;
-  s.blank = static_cast<std::uint8_t>(target);
+  kernel_.apply(s, op);  // the one neighbour-delta move
 }
 
 std::string SlidingTile::op_label(const TileState&, int op) const {

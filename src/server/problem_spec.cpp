@@ -128,15 +128,28 @@ std::optional<ProblemSpec> ProblemSpec::parse(const std::string& text,
       out = fallback;
       return true;
     }
-    if (!parse_ll(parts[i], out) || out < lo || out > hi) {
+    if (!parse_ll(parts[i], out)) {
+      error = std::string(what) + " is not an integer in '" + text + "'";
+      return false;
+    }
+    if (out < lo || out > hi) {
       error = std::string(what) + " out of range in '" + text + "'";
       return false;
     }
     return true;
   };
+  // A field past the kind's last is rejected, not ignored.
+  auto surplus = [&](std::size_t fields, const char* form) {
+    if (parts.size() <= fields) return false;
+    error = "too many fields in '" + text + "' (want " + form + ")";
+    return true;
+  };
   long long v = 0;
   if (parts[0] == "hanoi") {
     spec.kind = ProblemKind::kHanoi;
+    if (surplus(4, "hanoi:DISKS[:INITIAL_STAKE:GOAL_STAKE]")) {
+      return std::nullopt;
+    }
     if (!arg(1, 4, 1, 12, "disks", v)) return std::nullopt;
     spec.disks = static_cast<int>(v);
     if (!arg(2, 0, 0, 2, "initial stake", v)) return std::nullopt;
@@ -151,6 +164,7 @@ std::optional<ProblemSpec> ProblemSpec::parse(const std::string& text,
   }
   if (parts[0] == "sokoban") {
     spec.kind = ProblemKind::kSokoban;
+    if (surplus(2, "sokoban:LEVEL")) return std::nullopt;
     const long long max_level =
         static_cast<long long>(sokoban_catalog_size()) - 1;
     if (!arg(1, 0, 0, max_level, "level", v)) return std::nullopt;
@@ -159,6 +173,7 @@ std::optional<ProblemSpec> ProblemSpec::parse(const std::string& text,
   }
   if (parts[0] == "tiles") {
     spec.kind = ProblemKind::kTiles;
+    if (surplus(3, "tiles:N[:SCRAMBLE_SEED]")) return std::nullopt;
     if (!arg(1, 3, 2, 5, "size", v)) return std::nullopt;
     spec.tiles_n = static_cast<int>(v);
     if (!arg(2, 7, 0, std::numeric_limits<long long>::max(), "scramble seed",

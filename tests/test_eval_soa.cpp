@@ -196,9 +196,23 @@ const domains::Hanoi& hanoi6() {
   return hanoi;
 }
 
+/// An n x n puzzle at the solvable scramble of seed 7, as a served
+/// `tiles:N` request plans it.
+domains::SlidingTile scrambled_tiles(int n) {
+  util::Rng scramble(7);
+  const domains::SlidingTile gen(n);
+  return domains::SlidingTile(n, gen.random_solvable(scramble));
+}
+
 TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsVector) {
   // Valid-ops matching: the AVX-512 step where the CPU has it.
   expect_group_remainders_agree(hanoi6(), remainder_config());
+}
+
+TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsTiles) {
+  // 15-puzzle boards as lane words on the AVX-512 step where the CPU has
+  // it; a partial last group leaves all-zero words in its unused lanes.
+  expect_group_remainders_agree(scrambled_tiles(4), remainder_config());
 }
 
 TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsScalar) {
@@ -306,38 +320,33 @@ std::uint64_t kernel_ff_skipped(const P& problem, const ga::GaConfig& base,
   return skipped;
 }
 
-TEST(KernelDispatch, VectorLanesSkipFastForwardHanoi7) {
-  // Valid-ops matching on the AVX-512 step: the kernel pass resumes vector
-  // lanes at their checkpoint without the fast-forward, and its Evaluations
-  // still equal the per-slot evaluate_resume ones (the same runner over
-  // WithoutKernel<Hanoi>, which does fast-forward), generation by
-  // generation on the same trajectory.
-  if (!util::has_avx512_decode()) {
-    GTEST_SKIP() << "CPU without the AVX-512 decode";
-  }
-  using PerSlot = bench::WithoutKernel<domains::Hanoi>;
-  const domains::Hanoi hanoi(7);
-  const PerSlot per_slot(hanoi);
-  ga::GaConfig cfg;
-  cfg.population_size = 64;
-  cfg.crossover = ga::CrossoverKind::kMixed;
-  cfg.initial_length = static_cast<std::size_t>(hanoi.optimal_length());
-  cfg.max_length = 10 * cfg.initial_length;
-  cfg.stop_on_valid = false;
-  ga::PhaseRunner<domains::Hanoi> kernel(hanoi, cfg, nullptr);
+/// Valid-ops matching on the AVX-512 step: the kernel pass resumes vector
+/// lanes at their checkpoint without the fast-forward, and its Evaluations
+/// still equal the per-slot evaluate_resume ones (the same runner over
+/// WithoutKernel<P>, which does fast-forward), generation by generation on
+/// the same trajectory.
+template <typename P>
+void expect_vector_lanes_match_per_slot(const P& problem,
+                                        const ga::GaConfig& cfg) {
+  using PerSlot = bench::WithoutKernel<P>;
+  const PerSlot per_slot(problem);
+  ga::PhaseRunner<P> kernel(problem, cfg, nullptr);
   ga::PhaseRunner<PerSlot> slotwise(per_slot, cfg, nullptr);
   util::Rng rng_k(17);
   util::Rng rng_s(17);
-  kernel.init(hanoi.initial_state(), rng_k);
+  kernel.init(problem.initial_state(), rng_k);
   slotwise.init(per_slot.initial_state(), rng_s);
-  std::uint64_t kernel_ff = 0, kernel_partial = 0, slot_ff = 0;
+  std::uint64_t kernel_ff = 0, kernel_partial = 0, kernel_steps = 0,
+                slot_ff = 0;
   for (std::size_t g = 0; g < 12; ++g) {
     const std::uint64_t ff0 = counter_now("eval.ff_genes_skipped");
     const std::uint64_t partial0 = counter_now("eval.resume_partial");
+    const std::uint64_t steps0 = counter_now("eval.simd_steps");
     kernel.step_evaluate();
     const std::uint64_t ff1 = counter_now("eval.ff_genes_skipped");
     kernel_ff += ff1 - ff0;
     kernel_partial += counter_now("eval.resume_partial") - partial0;
+    kernel_steps += counter_now("eval.simd_steps") - steps0;
     slotwise.step_evaluate();
     slot_ff += counter_now("eval.ff_genes_skipped") - ff1;
     const auto& kp = kernel.population();
@@ -358,13 +367,49 @@ TEST(KernelDispatch, VectorLanesSkipFastForwardHanoi7) {
       EXPECT_EQ(k.goal_index, e.goal_index) << where;
       EXPECT_EQ(k.valid, e.valid) << where;
       EXPECT_EQ(k.dead_end, e.dead_end) << where;
+      EXPECT_TRUE(k.final_state == e.final_state) << where;
     }
     kernel.step_reproduce(rng_k);
     slotwise.step_reproduce(rng_s);
   }
+  EXPECT_GT(kernel_steps, 0u) << "no lane took the vector step";
   EXPECT_GT(kernel_partial, 0u) << "no kernel lane resumed from a checkpoint";
   EXPECT_GT(slot_ff, 0u) << "the per-slot decode never fast-forwarded";
   EXPECT_EQ(kernel_ff, 0u) << "a vector lane ran the fast-forward";
+}
+
+ga::GaConfig dispatch_config(std::size_t initial_length) {
+  ga::GaConfig cfg;
+  cfg.population_size = 64;
+  cfg.crossover = ga::CrossoverKind::kMixed;
+  cfg.initial_length = initial_length;
+  cfg.max_length = 10 * cfg.initial_length;
+  cfg.stop_on_valid = false;
+  return cfg;
+}
+
+TEST(KernelDispatch, VectorLanesSkipFastForwardHanoi7) {
+  if (!util::has_avx512_decode()) {
+    GTEST_SKIP() << "CPU without the AVX-512 decode";
+  }
+  const domains::Hanoi hanoi(7);
+  expect_vector_lanes_match_per_slot(
+      hanoi,
+      dispatch_config(static_cast<std::size_t>(hanoi.optimal_length())));
+}
+
+TEST(KernelDispatch, VectorLanesSkipFastForwardTiles) {
+  // The 8- and 15-puzzle boards pack into one lane word (TileKernel's
+  // to_word/from_word), so their lanes take the same vector step.
+  if (!util::has_avx512_decode()) {
+    GTEST_SKIP() << "CPU without the AVX-512 decode";
+  }
+  for (const int n : {3, 4}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    expect_vector_lanes_match_per_slot(
+        scrambled_tiles(n),
+        dispatch_config(static_cast<std::size_t>(4 * n * n)));
+  }
 }
 
 TEST(KernelDispatch, ScalarLoopLanesFastForward) {
@@ -376,6 +421,14 @@ TEST(KernelDispatch, ScalarLoopLanesFastForward) {
   ga::GaConfig exact = remainder_config();
   exact.state_match = ga::StateMatchKind::kExactState;
   EXPECT_GT(kernel_ff_skipped(hanoi6(), exact, 64, 12), 0u);
+  // The 24-puzzle's 25 cells do not fit a lane word: its lanes stay on the
+  // shared loop on every CPU, with the fast-forward and no vector step.
+  const std::uint64_t steps0 = counter_now("eval.simd_steps");
+  EXPECT_GT(
+      kernel_ff_skipped(scrambled_tiles(5), dispatch_config(100), 64, 12),
+      0u);
+  EXPECT_EQ(counter_now("eval.simd_steps"), steps0)
+      << "a 24-puzzle lane reached the vector step";
 }
 
 // The randomized domain/config sweep lives on the property substrate: see

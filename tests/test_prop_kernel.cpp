@@ -9,12 +9,20 @@
 //     op_cost and apply equal the domain's.
 // Hanoi walks first replay the optimal plan, so the goal state is visited;
 // the tile and cube walks start at their goal.
+//
+// The 8-lane vector hooks are a property too: on Hanoi and the tile puzzles
+// that pack into a lane word (n = 2..4), every visited state survives the
+// lane-word round trip (blank included), and 8 of them at a time give
+// lut_index8 / is_goal8 / apply8 results equal to the scalar lut_index /
+// is_goal / apply per lane, with lanes outside apply8's mask unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/decoder.hpp"
@@ -24,6 +32,7 @@
 #include "domains/sliding_tile.hpp"
 #include "prop/prop.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -39,20 +48,26 @@ struct WalkCase {
   std::vector<double> walk;  ///< one gene per step, indirect-encoded
 };
 
+/// Draws the instance and walk of `c.domain`: Hanoi with 3-8 disks and any
+/// stake pair, or tiles with side 2..max_side.
+void draw_walk(WalkCase& c, util::Rng& rng, int max_side) {
+  if (c.domain == Domain::kHanoi) {
+    c.size = 3 + static_cast<int>(rng.below(6));
+    c.from_stake = static_cast<int>(rng.below(3));
+    c.to_stake = (c.from_stake + 1 + static_cast<int>(rng.below(2))) % 3;
+  } else if (c.domain == Domain::kTiles) {
+    c.size = 2 + static_cast<int>(rng.below(max_side - 1));
+  }
+  c.walk.resize(1 + rng.below(300));
+  for (double& gene : c.walk) gene = rng.uniform();
+}
+
 prop::Gen<WalkCase> walk_case() {
   prop::Gen<WalkCase> g;
   g.sample = [](util::Rng& rng) {
     WalkCase c;
     c.domain = static_cast<Domain>(rng.below(3));
-    if (c.domain == Domain::kHanoi) {
-      c.size = 3 + static_cast<int>(rng.below(6));
-      c.from_stake = static_cast<int>(rng.below(3));
-      c.to_stake = (c.from_stake + 1 + static_cast<int>(rng.below(2))) % 3;
-    } else if (c.domain == Domain::kTiles) {
-      c.size = 2 + static_cast<int>(rng.below(4));
-    }
-    c.walk.resize(1 + rng.below(300));
-    for (double& gene : c.walk) gene = rng.uniform();
+    draw_walk(c, rng, 5);
     return c;
   };
   g.shrink = [](const WalkCase& c) {
@@ -87,17 +102,16 @@ prop::Gen<WalkCase> walk_case() {
   return g;
 }
 
-/// Checks the kernel against the domain at `s` and returns valid_ops(s).
+/// Checks the kernel against the domain at `s`.
 template <typename P>
-std::vector<int> expect_agree_at(const P& problem,
-                                 const typename P::StateT& s,
-                                 const std::string& where) {
+void expect_agree_at(const P& problem, const typename P::StateT& s,
+                     const std::string& where) {
   const auto& kernel = problem.simd_kernel();
   std::vector<int> ops;
   problem.valid_ops(s, ops);
   const std::uint32_t slot = kernel.lut_index(s);
   EXPECT_LT(slot, kernel.lut_size()) << where;
-  if (slot >= kernel.lut_size()) return ops;
+  if (slot >= kernel.lut_size()) return;
   const ga::PackedOps po{kernel.lut_ops(slot), kernel.lut_count(slot)};
   std::vector<int> lut;
   for (std::uint32_t j = 0; j < po.m; ++j) lut.push_back(po.op(j));
@@ -114,25 +128,202 @@ std::vector<int> expect_agree_at(const P& problem,
     problem.apply(by_domain, op);
     EXPECT_TRUE(by_kernel == by_domain) << where << " op " << op;
   }
-  return ops;
 }
 
-/// Replays `prefix` (op ids) from the initial state, then walks `walk`
-/// genes through the indirect encoding, checking every state visited.
+/// Replays `prefix`, then walks `walk` through the indirect encoding, and
+/// returns every state visited.
 template <typename P>
-void expect_agree_on_walk(const P& problem, std::span<const int> prefix,
-                          std::span<const double> walk) {
+std::vector<typename P::StateT> walk_states(const P& problem,
+                                            std::span<const int> prefix,
+                                            std::span<const double> walk) {
+  std::vector<typename P::StateT> states;
   auto s = problem.initial_state();
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    expect_agree_at(problem, s, "prefix step " + std::to_string(i));
-    problem.apply(s, prefix[i]);
+  for (const int op : prefix) {
+    states.push_back(s);
+    problem.apply(s, op);
   }
+  std::vector<int> ops;
   for (std::size_t i = 0;; ++i) {
-    const std::vector<int> ops =
-        expect_agree_at(problem, s, "walk step " + std::to_string(i));
+    states.push_back(s);
+    problem.valid_ops(s, ops);
     if (i == walk.size() || ops.empty()) break;
     problem.apply(s, ops[ga::gene_to_index(walk[i], ops.size())]);
   }
+  return states;
+}
+
+/// Checks the kernel against the domain at every state of the walk.
+template <typename P>
+void expect_agree_on_walk(const P& problem, std::span<const int> prefix,
+                          std::span<const double> walk) {
+  const auto states = walk_states(problem, prefix, walk);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    expect_agree_at(problem, states[i], "state " + std::to_string(i));
+  }
+}
+
+/// Walks on the kernels with 8-lane hooks whose states fit a lane word:
+/// Hanoi, and tiles up to the 15-puzzle.
+prop::Gen<WalkCase> lane_case() {
+  prop::Gen<WalkCase> g = walk_case();
+  g.sample = [](util::Rng& rng) {
+    WalkCase c;
+    c.domain = rng.below(2) == 0 ? Domain::kHanoi : Domain::kTiles;
+    draw_walk(c, rng, 4);
+    return c;
+  };
+  return g;
+}
+
+/// A state's lane word and back, as KernelBatchDecoder packs it: the
+/// kernel's codec where it has one, else the raw bit pattern.
+template <typename K, typename S>
+std::uint64_t lane_word(const K& kernel, const S& s) {
+  if constexpr (requires { kernel.to_word(s); }) {
+    return kernel.to_word(s);
+  } else {
+    return std::bit_cast<std::uint64_t>(s);
+  }
+}
+template <typename S, typename K>
+S lane_state(const K& kernel, std::uint64_t w) {
+  if constexpr (requires { kernel.from_word(w); }) {
+    return kernel.from_word(w);
+  } else {
+    return std::bit_cast<S>(w);
+  }
+}
+
+/// The op `gene` picks at `s` from the kernel's LUT, or -1 at a dead end.
+template <typename K, typename S>
+int lut_pick(const K& kernel, const S& s, double gene) {
+  const std::uint32_t slot = kernel.lut_index(s);
+  const ga::PackedOps po{kernel.lut_ops(slot), kernel.lut_count(slot)};
+  return po.m == 0 ? -1 : po.op(ga::gene_to_index(gene, po.m));
+}
+
+#if GAPLAN_AVX512_DECODE
+/// Windows of 8 consecutive walk states (the last repeated as padding) run
+/// through the 8-lane hooks; each lane must match the scalar kernel. Genes
+/// of the walk pick each lane's op and apply8's lane mask.
+template <typename P>
+GAPLAN_AVX512_TARGET void expect_hooks8_agree(
+    const P& problem, const std::vector<typename P::StateT>& states,
+    std::span<const double> walk) {
+  using S = typename P::StateT;
+  const auto& kernel = problem.simd_kernel();
+  const auto gene = [&](std::size_t i) { return walk[i % walk.size()]; };
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    S lane[8];
+    int op[8];
+    alignas(64) std::uint64_t w[8], opw[8], li[8], out[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      lane[j] = states[std::min(i + j, states.size() - 1)];
+      w[j] = lane_word(kernel, lane[j]);
+      op[j] = lut_pick(kernel, lane[j], gene(i + j));
+      opw[j] = static_cast<std::uint64_t>(std::max(op[j], 0));
+    }
+    const auto mask = static_cast<__mmask8>(gene(i) * 256.0);
+    const __m512i wv = _mm512_load_epi64(w);
+    _mm512_store_epi64(li, kernel.lut_index8(wv));
+    const __mmask8 goal = kernel.is_goal8(wv);
+    _mm512_store_epi64(out,
+                       kernel.apply8(wv, _mm512_load_epi64(opw), mask));
+    for (std::size_t j = 0; j < 8; ++j) {
+      const std::string where =
+          "window " + std::to_string(i) + " lane " + std::to_string(j);
+      EXPECT_EQ(li[j], kernel.lut_index(lane[j])) << where;
+      EXPECT_EQ(((goal >> j) & 1) != 0, kernel.is_goal(lane[j])) << where;
+      if (((mask >> j) & 1) == 0) {
+        EXPECT_EQ(out[j], w[j]) << where << ": a masked-out lane changed";
+      } else if (op[j] >= 0) {
+        S want = lane[j];
+        kernel.apply(want, op[j]);
+        EXPECT_EQ(out[j], lane_word(kernel, want)) << where << " op " << op[j];
+      }
+    }
+  }
+}
+
+/// lut_index8 of an all-zero lane word: the unused lanes of a vector
+/// group hold zero, which must still index the LUT.
+GAPLAN_AVX512_TARGET std::uint64_t lut_index8_of_zero(
+    const domains::TileKernel& kernel) {
+  alignas(64) std::uint64_t li[8];
+  _mm512_store_epi64(li, kernel.lut_index8(_mm512_setzero_si512()));
+  return li[0];
+}
+#endif
+
+template <typename P>
+void expect_lanes_agree(const P& problem, std::span<const int> prefix,
+                        std::span<const double> walk) {
+  using S = typename P::StateT;
+  const auto& kernel = problem.simd_kernel();
+  const std::vector<S> states = walk_states(problem, prefix, walk);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const S& s = states[i];
+    const S back = lane_state<S>(kernel, lane_word(kernel, s));
+    EXPECT_TRUE(back == s) << "state " << i;
+    if constexpr (std::is_same_v<S, domains::TileState>) {
+      EXPECT_EQ(back.blank, s.blank) << "state " << i;
+    }
+  }
+#if GAPLAN_AVX512_DECODE
+  if (util::has_avx512_decode()) expect_hooks8_agree(problem, states, walk);
+#endif
+}
+
+/// The tile kernel's neighbour-delta move against row/column arithmetic:
+/// the blank moves one cell in op's direction and the tile there takes its
+/// place (SlidingTile::apply shares the kernel's move, so the domain
+/// agreement property cannot tell the two apart).
+void expect_tile_moves_by_rows_and_columns(const domains::SlidingTile& tiles,
+                                           std::span<const double> walk) {
+  static constexpr int kRowDelta[4] = {-1, 1, 0, 0};
+  static constexpr int kColDelta[4] = {0, 0, -1, 1};
+  const int n = tiles.n();
+  std::vector<int> ops;
+  for (const domains::TileState& s : walk_states(tiles, {}, walk)) {
+    tiles.valid_ops(s, ops);
+    for (const int op : ops) {
+      const int target = (s.blank / n + kRowDelta[op]) * n +
+                         (s.blank % n + kColDelta[op]);
+      domains::TileState moved = s;
+      tiles.simd_kernel().apply(moved, op);
+      EXPECT_EQ(moved.blank, target) << "op " << op;
+      EXPECT_EQ(moved.cells[s.blank], s.cells[target]) << "op " << op;
+      EXPECT_EQ(moved.cells[target], 0) << "op " << op;
+    }
+  }
+}
+
+TEST(PropKernel, LaneWordHooksMatchScalarKernel) {
+#if GAPLAN_AVX512_DECODE
+  if (util::has_avx512_decode()) {
+    for (const int n : {2, 3, 4}) {
+      const domains::SlidingTile tiles(n);
+      EXPECT_LT(lut_index8_of_zero(tiles.simd_kernel()),
+                tiles.simd_kernel().lut_size())
+          << "n " << n;
+    }
+  }
+#endif
+  prop::check(
+      "kernel_lane_words", lane_case(),
+      [](const WalkCase& c) {
+        if (c.domain == Domain::kHanoi) {
+          const domains::Hanoi hanoi(c.size, c.from_stake, c.to_stake);
+          expect_lanes_agree(hanoi, hanoi.optimal_plan(), c.walk);
+        } else {
+          const domains::SlidingTile tiles(c.size);
+          ASSERT_TRUE(tiles.simd_kernel().word_lanes());
+          expect_lanes_agree(tiles, {}, c.walk);
+          expect_tile_moves_by_rows_and_columns(tiles, c.walk);
+        }
+      },
+      {.iterations = 40});
+  EXPECT_FALSE(domains::SlidingTile(5).simd_kernel().word_lanes());
 }
 
 TEST(PropKernel, LutKernelsAgreeWithTheirDomains) {

@@ -526,8 +526,10 @@ TEST(PlanServiceTrace, InterleavedRequestsKeepSpanTreesSeparate) {
       ::testing::TempDir() + "gaplan_serve_interleaved.jsonl";
   std::remove(path.c_str());
 
-  const auto* before_qw =
-      obs::snapshot_metrics().find_histogram("server.queue_wait_ms");
+  // find_histogram points into the snapshot, so the snapshot must outlive
+  // the read.
+  const auto before = obs::snapshot_metrics();
+  const auto* before_qw = before.find_histogram("server.queue_wait_ms");
   const std::uint64_t qw0 = before_qw ? before_qw->count : 0;
 
   obs::set_trace_path(path);
@@ -701,6 +703,15 @@ TEST(ServeLint, ProblemSpecParsingRoundTripsAndRejects) {
   EXPECT_FALSE(ProblemSpec::parse("tiles:1", err).has_value());
   EXPECT_FALSE(ProblemSpec::parse("chess:1", err).has_value());
   EXPECT_FALSE(err.empty());
+  // A malformed or surplus field is rejected by name, never truncated to
+  // the spec it starts with.
+  EXPECT_FALSE(ProblemSpec::parse("tiles:3x:7", err).has_value());
+  EXPECT_NE(err.find("size"), std::string::npos) << err;
+  EXPECT_FALSE(ProblemSpec::parse("tiles:3:7:9", err).has_value());
+  EXPECT_NE(err.find("too many fields"), std::string::npos) << err;
+  EXPECT_FALSE(ProblemSpec::parse("hanoi:5:0:1:2", err).has_value());
+  EXPECT_FALSE(ProblemSpec::parse("sokoban:1:0", err).has_value());
+  EXPECT_TRUE(ProblemSpec::parse("tiles:3:7", err).has_value());
 }
 
 // ---------------------------------------------------------------------------
