@@ -117,12 +117,12 @@ void BM_KernelDecodeTile(benchmark::State& state) {
     slots[i].genes = genomes[i];
     slots[i].ev = &evals[i];
   }
-  std::vector<ga::detail::KernelLane<domains::TileState>> lanes;
-  kernel.run(p.initial_state(), slots, lanes, nullptr);
+  ga::detail::KernelScratch<domains::TileState> scratch;
+  kernel.run(p.initial_state(), slots, scratch, nullptr);
   std::int64_t ops = 0;
   for (const auto& ev : evals) ops += static_cast<std::int64_t>(ev.ops.size());
   for (auto _ : state) {
-    kernel.run(p.initial_state(), slots, lanes, nullptr);
+    kernel.run(p.initial_state(), slots, scratch, nullptr);
     benchmark::DoNotOptimize(evals.data());
   }
   state.SetItemsProcessed(state.iterations() * ops);

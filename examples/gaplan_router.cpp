@@ -5,8 +5,8 @@
 // idempotent requests when a worker dies, and coordinates cross-process
 // island runs (dist/router.hpp has the full design).
 //
-//   gaplan_router --backend 127.0.0.1:5001 --backend 127.0.0.1:5002:2.0 \
-//                 --tcp 7000
+//   gaplan_router --backend 127.0.0.1:5001 --backend 127.0.0.1:5002:2.0
+//                 --tcp 7000      (one command line)
 //   gaplan_router --config cluster.dist --tcp 7000
 //
 // The .dist config (and any --backend flags) pass the dist lint gate

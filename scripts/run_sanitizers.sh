@@ -8,7 +8,8 @@
 # exits nonzero if ANY lane failed, not just the last.
 #
 # Lanes:
-#   asan           AddressSanitizer over the whole suite.
+#   asan           AddressSanitizer (with LeakSanitizer) over the whole
+#                  suite.
 #   ubsan          UndefinedBehaviorSanitizer over the whole suite.
 #   tsan           ThreadSanitizer over the concurrent subsystems only (the
 #                  planning service, its protocol core and TCP line server,
@@ -66,8 +67,11 @@ run_lane() {
   fi
   echo "=== ${name}: test ==="
   # halt_on_error makes ASan findings fail the run the way
-  # -fno-sanitize-recover=all already does for UBSan.
-  if ! ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
+  # -fno-sanitize-recover=all already does for UBSan. Leak detection is on;
+  # scripts/lsan.supp exempts only the lock-order detector's deliberate
+  # per-thread state.
+  if ! ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+       LSAN_OPTIONS="suppressions=${PWD}/scripts/lsan.supp:print_suppressions=0" \
        ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" "$@"; then
     record "${name}" FAIL
     return 1

@@ -85,7 +85,8 @@ inline std::uint64_t ops_signature(std::span<const int> ops) noexcept {
 namespace detail {
 
 /// Per-decode work tally, flushed to the metrics registry once per decode
-/// (obs counters are cheap, but one inc per decode beats one per gene).
+/// (obs counters are cheap, but one inc per decode beats one per gene, and
+/// one per prepare range beats up to four per resumed slot).
 struct DecodeTally {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -93,16 +94,31 @@ struct DecodeTally {
   /// 8-lane AVX-512 decode steps; ops_decoded / (8 * simd_steps) is the
   /// vector path's lane occupancy.
   std::uint64_t simd_steps = 0;
+  /// indirect_resume_head's outcomes: gene positions whose re-decode was
+  /// skipped, whole-evaluation reuses, checkpoint resumes, and the genes the
+  /// fast-forward jumped over.
+  std::uint64_t resume_genes_skipped = 0;
+  std::uint64_t reuse_whole = 0;
+  std::uint64_t resume_partial = 0;
+  std::uint64_t ff_genes_skipped = 0;
 
   void flush() const noexcept {
     static obs::Counter& c_hits = obs::counter("eval.cache_hits");
     static obs::Counter& c_misses = obs::counter("eval.cache_misses");
     static obs::Counter& c_ops = obs::counter("eval.ops_decoded");
     static obs::Counter& c_steps = obs::counter("eval.simd_steps");
+    static obs::Counter& c_resumed = obs::counter("eval.resume_genes_skipped");
+    static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
+    static obs::Counter& c_partial = obs::counter("eval.resume_partial");
+    static obs::Counter& c_ff = obs::counter("eval.ff_genes_skipped");
     if (cache_hits) c_hits.inc(cache_hits);
     if (cache_misses) c_misses.inc(cache_misses);
     if (ops_decoded) c_ops.inc(ops_decoded);
     if (simd_steps) c_steps.inc(simd_steps);
+    if (resume_genes_skipped) c_resumed.inc(resume_genes_skipped);
+    if (reuse_whole) c_whole.inc(reuse_whole);
+    if (resume_partial) c_partial.inc(resume_partial);
+    if (ff_genes_skipped) c_ff.inc(ff_genes_skipped);
   }
 };
 
@@ -393,7 +409,6 @@ DecodeHead indirect_resume_head(const Src& src, const State& start,
       (!rec.hashes || prev->state_hashes.size() == prev->ops.size() + 1) &&
       (!rec.sigs || prev->op_signatures.size() == prev->ops.size() + 1)) {
     const std::size_t dirty = std::min(first_dirty, genes.size());
-    static obs::Counter& c_resumed = obs::counter("eval.resume_genes_skipped");
 
     // Whole-evaluation reuse: prev's decode provably terminated at or before
     // the first modified gene, so the child decodes to the very same record.
@@ -407,9 +422,8 @@ DecodeHead indirect_resume_head(const Src& src, const State& start,
         prev->ops.size() == genes.size() && dirty >= genes.size();
     if (goal_terminated || dead_terminated || genome_unchanged) {
       ev = *prev;  // copy-assign recycles ev's buffers
-      static obs::Counter& c_whole = obs::counter("eval.reuse_whole");
-      c_resumed.inc(genes.size());
-      c_whole.inc();
+      tally.resume_genes_skipped += genes.size();
+      ++tally.reuse_whole;
       return {DecodeHead::kReused, 0, genes.size()};
     }
 
@@ -448,9 +462,7 @@ DecodeHead indirect_resume_head(const Src& src, const State& start,
         ev.goal_index = prev->goal_index;
       }
       s = prev->checkpoint_states[k - 1];
-      static obs::Counter& c_partial = obs::counter("eval.resume_partial");
-      static obs::Counter& c_ff = obs::counter("eval.ff_genes_skipped");
-      c_partial.inc();
+      ++tally.resume_partial;
       std::size_t ff_skipped = 0;
       bool done = false;
       std::size_t pos = resume_at;
@@ -459,8 +471,8 @@ DecodeHead indirect_resume_head(const Src& src, const State& start,
                                     rec, tally, *prev, ev, s, ff_skipped,
                                     done);
       }
-      c_resumed.inc(resume_at + ff_skipped);
-      if (ff_skipped != 0) c_ff.inc(ff_skipped);
+      tally.resume_genes_skipped += resume_at + ff_skipped;
+      tally.ff_genes_skipped += ff_skipped;
       return {done || pos >= genes.size() ? DecodeHead::kFinish
                                           : DecodeHead::kLoop,
               pos, resume_at + ff_skipped};
@@ -632,6 +644,48 @@ struct KernelLane {
   std::size_t remaining() const noexcept { return slot->genes.size() - pos; }
 };
 
+/// Caller-owned scratch of a KernelBatchDecoder pass, reused across passes so
+/// a steady-state pass allocates nothing: `prepared` holds one lane per slot
+/// after the prepare step, `lanes` the ones still decoding in decode order
+/// (order_longest_first), and `counts` that ordering's key histogram.
+template <typename State>
+struct KernelScratch {
+  std::vector<KernelLane<State>> prepared;
+  std::vector<KernelLane<State>> lanes;
+  std::vector<std::uint32_t> counts;
+};
+
+/// Writes the prepared lanes still decoding (non-null slot) to `out`,
+/// longest remaining() first: a counting sort on remaining(), which the
+/// genome length bounds. Ties keep their order in `prepared`. One pass
+/// counts and one places each lane record once, where a comparison sort
+/// moved the records O(n log n) times.
+template <typename State>
+void order_longest_first(std::span<const KernelLane<State>> prepared,
+                         std::vector<KernelLane<State>>& out,
+                         std::vector<std::uint32_t>& counts) {
+  counts.clear();
+  std::size_t live = 0;
+  for (const KernelLane<State>& ln : prepared) {
+    if (ln.slot == nullptr) continue;
+    const std::size_t r = ln.remaining();
+    if (r >= counts.size()) counts.resize(r + 1);
+    ++counts[r];
+    ++live;
+  }
+  // Longest key first: counts[r] becomes the first output index of key r.
+  std::uint32_t at = 0;
+  for (std::size_t r = counts.size(); r-- > 0;) {
+    const std::uint32_t c = counts[r];
+    counts[r] = at;
+    at += c;
+  }
+  out.resize(live);
+  for (const KernelLane<State>& ln : prepared) {
+    if (ln.slot != nullptr) out[counts[ln.remaining()]++] = ln;
+  }
+}
+
 }  // namespace detail
 
 /// Population-wide decoder over a domain's SIMD kernel (see SimdDecodable in
@@ -643,7 +697,7 @@ struct KernelLane {
 /// ops_signature.
 ///
 /// run() takes a whole generation in one pass: it runs every slot through
-/// the shared resume head, sorts the slots still decoding
+/// the shared resume head, orders the slots still decoding
 /// longest-remaining-first once, and decodes them in kGroup-lane groups — 8
 /// individuals per AVX-512 instruction on kernels with vector hooks, else
 /// lane by lane on the shared decode loop. A vector group runs until its
@@ -654,8 +708,8 @@ struct KernelLane {
 /// shared loop fast-forward as the per-slot decoders do. Every lane retires
 /// through the shared finish, and the per-lane decode order never depends on
 /// the grouping or thread count, so the Evaluations match the per-slot
-/// decoders exactly. eval.prepare_ms and eval.group_decode_ms time the
-/// prepare and group-decode steps once per run().
+/// decoders exactly. eval.prepare_ms, eval.order_ms and eval.group_decode_ms
+/// time the prepare, order and group-decode steps once per run().
 ///
 /// Intentionally *not* constrained to SimdDecodable<P> at class scope so the
 /// engine can name KernelBatchDecoder<P> inside a std::conditional_t without
@@ -710,19 +764,19 @@ class KernelBatchDecoder {
 
   const DecodeOptions& options() const noexcept { return opt_; }
 
-  /// Decodes every slot from `start` in one pass. `lanes` is caller-owned
-  /// scratch (its capacity is reused, so a steady-state pass allocates
-  /// nothing). With a `pool` of more than one worker, prepare is split over
-  /// the slots and the sorted groups are dealt to the workers one at a time,
-  /// longest first, so no worker trails another by more than one group.
-  /// Thread-safe for disjoint slots and scratch.
+  /// Decodes every slot from `start` in one pass, through caller-owned
+  /// `scratch`. With a `pool` of more than one worker, prepare is split over
+  /// the slots and the ordered groups are dealt to the workers one at a
+  /// time, longest first, so no worker trails another by more than one
+  /// group. Thread-safe for disjoint slots and scratch.
   void run(const State& start, std::span<detail::KernelSlot<State>> slots,
-           std::vector<detail::KernelLane<State>>& lanes,
+           detail::KernelScratch<State>& scratch,
            util::ThreadPool* pool) const {
     const std::size_t n = slots.size();
     const bool pooled = pool != nullptr && pool->thread_count() > 1;
     util::Timer timer;
-    lanes.resize(n);
+    std::vector<detail::KernelLane<State>>& prepared = scratch.prepared;
+    prepared.resize(n);
     // Vector lanes resume at their checkpoint without the fast-forward (see
     // indirect_fast_forward for why).
     const bool fast_forward = !vector_lanes();
@@ -730,7 +784,7 @@ class KernelBatchDecoder {
       detail::DecodeTally tally;
       for (std::size_t i = lo; i < hi; ++i) {
         detail::KernelSlot<State>& sl = slots[i];
-        detail::KernelLane<State>& ln = lanes[i];
+        detail::KernelLane<State>& ln = prepared[i];
         const detail::DecodeHead head = detail::indirect_resume_head(
             lut(), start, sl.genes, sl.prev,
             fast_forward ? sl.parent_genes : std::span<const Gene>{},
@@ -753,17 +807,16 @@ class KernelBatchDecoder {
     }
     static obs::Histogram& h_prepare =
         obs::histogram("eval.prepare_ms", obs::latency_buckets_ms());
+    static obs::Histogram& h_order =
+        obs::histogram("eval.order_ms", obs::latency_buckets_ms());
     static obs::Histogram& h_decode =
         obs::histogram("eval.group_decode_ms", obs::latency_buckets_ms());
     h_prepare.observe(timer.millis());
-    std::erase_if(lanes, [](const detail::KernelLane<State>& ln) {
-      return ln.slot == nullptr;
-    });
-    std::sort(lanes.begin(), lanes.end(),
-              [](const detail::KernelLane<State>& a,
-                 const detail::KernelLane<State>& b) {
-                return a.remaining() > b.remaining();
-              });
+
+    timer.reset();
+    std::vector<detail::KernelLane<State>>& lanes = scratch.lanes;
+    detail::order_longest_first<State>(prepared, lanes, scratch.counts);
+    h_order.observe(timer.millis());
 
     timer.reset();
     const auto decode = [&](std::size_t lo, std::size_t hi) {
@@ -790,8 +843,8 @@ class KernelBatchDecoder {
   /// Serial run() with scratch of its own, for one-off decodes.
   void run(const State& start,
            std::span<detail::KernelSlot<State>> slots) const {
-    std::vector<detail::KernelLane<State>> lanes;
-    run(start, slots, lanes, nullptr);
+    detail::KernelScratch<State> scratch;
+    run(start, slots, scratch, nullptr);
   }
 
  private:
@@ -888,6 +941,7 @@ class KernelBatchDecoder {
   }
 
 #if GAPLAN_AVX512_DECODE
+GAPLAN_AVX512_WARNINGS_BEGIN
   static constexpr std::size_t kVL = kGroup;  ///< uint64 lanes per zmm
   static constexpr std::size_t kVChunk = 64;  ///< steps between staging flushes
 
@@ -1111,6 +1165,7 @@ class KernelBatchDecoder {
       }
     }
   }
+GAPLAN_AVX512_WARNINGS_END
 #endif  // GAPLAN_AVX512_DECODE
 
   KernelT kernel_;

@@ -529,10 +529,10 @@ class PhaseRunner {
 
   /// One kernel pass over the whole population (KernelBatchDecoder::run):
   /// every slot that needs decoding joins the pass, with its retired parent
-  /// as the resume source, and the decoder prepares, sorts and decodes them
-  /// (across the thread pool when there is one). The slot and lane lists
-  /// are runner-owned scratch, so a steady-state generation allocates
-  /// nothing here.
+  /// as the resume source, and the decoder prepares, orders and decodes them
+  /// (across the thread pool when there is one); eval.score_ms times the
+  /// scoring that follows. The slot list and the pass scratch are
+  /// runner-owned, so a steady-state generation allocates nothing here.
   void evaluate_kernel(bool resumable) {
     kslots_.clear();
     for (std::size_t i = 0; i < cur_.slots(); ++i) {
@@ -552,8 +552,12 @@ class PhaseRunner {
         }
       }
     }
-    kdec_->run(start_, kslots_, klanes_, pool_);
+    kdec_->run(start_, kslots_, kscratch_, pool_);
+    util::Timer timer;
     for (const auto& sl : kslots_) score(*problem_, *cfg_, *sl.ev);
+    static obs::Histogram& h_score =
+        obs::histogram("eval.score_ms", obs::latency_buckets_ms());
+    h_score.observe(timer.millis());
   }
 
   /// Per-slot decode over lane spans: resumes each child from its retired
@@ -630,7 +634,7 @@ class PhaseRunner {
   CrossoverScratch xscratch_;
   std::optional<KdecT> kdec_;  ///< engaged iff SimdDecodable<P>
   std::vector<detail::KernelSlot<State>> kslots_;  ///< kernel pass slots
-  std::vector<detail::KernelLane<State>> klanes_;  ///< kernel pass lanes
+  detail::KernelScratch<State> kscratch_;  ///< kernel pass scratch
   DecodeOptions kdec_opts_{};  ///< options kdec_ was built with
   bool kdec_exact_ = false;    ///< exact-state flag kdec_ was built with
   PhaseResult<State> result_;

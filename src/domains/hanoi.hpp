@@ -127,6 +127,7 @@ class HanoiKernel {
   static constexpr bool kLutCountIsPopcount = true;
 
 #if GAPLAN_AVX512_DECODE
+GAPLAN_AVX512_WARNINGS_BEGIN
   // --- 8-lane vector step (KernelBatchDecoder::run_vector hooks) -----------
   // Each 64-bit lane of a __m512i holds one HanoiState::pegs word. These are
   // straight vector transliterations of the scalar methods above and must
@@ -226,6 +227,7 @@ class HanoiKernel {
     return _mm512_cmpeq_epi64_mask(
         pegs, _mm512_set1_epi64(static_cast<long long>(goal_pegs_)));
   }
+GAPLAN_AVX512_WARNINGS_END
 #endif  // GAPLAN_AVX512_DECODE
 
  private:

@@ -9,6 +9,30 @@ namespace {
 constexpr const char* kOpNames[4] = {"blank up", "blank down", "blank left",
                                      "blank right"};
 
+/// Manhattan distance per board size n: kManhattan[n][cell * kMaxCells +
+/// tile] is the distance from `cell` to tile's goal cell (tile − 1), and 0
+/// for the blank, so manhattan() is one load per cell with no division by n.
+using DistanceTable =
+    std::array<std::uint8_t, TileState::kMaxCells * TileState::kMaxCells>;
+
+constexpr std::array<DistanceTable, 6> make_manhattan_tables() {
+  std::array<DistanceTable, 6> tables{};
+  for (int n = 2; n <= 5; ++n) {
+    for (int cell = 0; cell < n * n; ++cell) {
+      for (int tile = 1; tile < n * n; ++tile) {
+        const int goal = tile - 1;
+        const int dr = cell / n - goal / n;
+        const int dc = cell % n - goal % n;
+        tables[n][cell * TileState::kMaxCells + tile] =
+            static_cast<std::uint8_t>((dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc));
+      }
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<DistanceTable, 6> kManhattan = make_manhattan_tables();
+
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) noexcept {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (std::size_t i = 0; i < len; ++i) {
@@ -79,13 +103,11 @@ std::string SlidingTile::op_label(const TileState&, int op) const {
 }
 
 int SlidingTile::manhattan(const TileState& s) const noexcept {
+  const DistanceTable& dist = kManhattan[static_cast<std::size_t>(n_)];
   int md = 0;
   const int cells = n_ * n_;
   for (int i = 0; i < cells; ++i) {
-    const int t = s.cells[i];
-    if (t == 0) continue;
-    const int goal_cell = t - 1;
-    md += std::abs(row(i) - row(goal_cell)) + std::abs(col(i) - col(goal_cell));
+    md += dist[static_cast<std::size_t>(i * TileState::kMaxCells + s.cells[i])];
   }
   return md;
 }

@@ -152,6 +152,7 @@ class TileKernel {
   static constexpr bool kUnitOpCost = true;
 
 #if GAPLAN_AVX512_DECODE
+GAPLAN_AVX512_WARNINGS_BEGIN
   // --- 8-lane vector step (KernelBatchDecoder::run_vector hooks) -----------
   // Each 64-bit lane holds one to_word board. Straight vector transliterations
   // of lut_index / apply / is_goal; they carry the AVX-512 target attribute,
@@ -194,6 +195,7 @@ class TileKernel {
     return _mm512_cmpeq_epi64_mask(
         w, _mm512_set1_epi64(static_cast<long long>(goal_word_)));
   }
+GAPLAN_AVX512_WARNINGS_END
 #endif  // GAPLAN_AVX512_DECODE
 
  private:

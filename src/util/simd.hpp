@@ -23,6 +23,23 @@
 #define GAPLAN_AVX512_TARGET \
   __attribute__((target("avx512f,avx512dq,avx512cd,avx512vpopcntdq")))
 
+// GCC 12 reports -Wmaybe-uninitialized, or -Wuninitialized when it is sure,
+// inside <avx512fintrin.h> itself (the self-initialised `__Y` of
+// _mm512_undefined_epi32) wherever a vector function inlines an intrinsic
+// built on it, so no -Werror build could compile the vector step. The vector
+// step and the kernels' 8-lane hooks sit between these two; nothing else is
+// exempt.
+#if defined(__GNUC__) && !defined(__clang__)
+#define GAPLAN_AVX512_WARNINGS_BEGIN                               \
+  _Pragma("GCC diagnostic push")                                   \
+      _Pragma("GCC diagnostic ignored \"-Wuninitialized\"")        \
+          _Pragma("GCC diagnostic ignored \"-Wmaybe-uninitialized\"")
+#define GAPLAN_AVX512_WARNINGS_END _Pragma("GCC diagnostic pop")
+#else
+#define GAPLAN_AVX512_WARNINGS_BEGIN
+#define GAPLAN_AVX512_WARNINGS_END
+#endif
+
 namespace gaplan::util {
 
 /// True when the running CPU supports every AVX-512 subset named in

@@ -63,7 +63,9 @@ TEST(RandomCrossover, ChildrenAreSplices) {
         if (low != starts_low) seen_other_parent = true;
         // Once the donor suffix starts, no gene from the prefix parent may
         // reappear: exactly one switch point.
-        if (seen_other_parent) ASSERT_NE(low, starts_low);
+        if (seen_other_parent) {
+          ASSERT_NE(low, starts_low);
+        }
       }
     }
   }

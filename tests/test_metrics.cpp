@@ -243,8 +243,9 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
 }
 
 TEST(Metrics, KernelPassSplitHistograms) {
-  // Every KernelBatchDecoder::run observes its prepare step and its group
-  // decode once each, so both histograms count exactly the passes run.
+  // Every KernelBatchDecoder::run observes its prepare step, its ordering
+  // and its group decode once each, and the runner scores each pass once, so
+  // all four histograms count exactly the passes run.
   namespace ga = gaplan::ga;
   namespace domains = gaplan::domains;
   const auto hist_count = [](const char* name) -> std::uint64_t {
@@ -254,7 +255,9 @@ TEST(Metrics, KernelPassSplitHistograms) {
   };
   const std::uint64_t batches0 = counter_value("eval.batches");
   const std::uint64_t prepare0 = hist_count("eval.prepare_ms");
+  const std::uint64_t order0 = hist_count("eval.order_ms");
   const std::uint64_t decode0 = hist_count("eval.group_decode_ms");
+  const std::uint64_t score0 = hist_count("eval.score_ms");
   const domains::Hanoi h(5);
   ga::GaConfig cfg;
   cfg.population_size = 30;
@@ -268,13 +271,19 @@ TEST(Metrics, KernelPassSplitHistograms) {
 
   const auto snap = obs::snapshot_metrics();
   const auto* prepare = snap.find_histogram("eval.prepare_ms");
+  const auto* order = snap.find_histogram("eval.order_ms");
   const auto* decode = snap.find_histogram("eval.group_decode_ms");
+  const auto* score = snap.find_histogram("eval.score_ms");
   ASSERT_NE(prepare, nullptr);
+  ASSERT_NE(order, nullptr);
   ASSERT_NE(decode, nullptr);
+  ASSERT_NE(score, nullptr);
   const std::uint64_t passes = counter_value("eval.batches") - batches0;
   EXPECT_GT(passes, 0u);
   EXPECT_EQ(prepare->count - prepare0, passes);
+  EXPECT_EQ(order->count - order0, passes);
   EXPECT_EQ(decode->count - decode0, passes);
+  EXPECT_EQ(score->count - score0, passes);
   EXPECT_GT(prepare->sum, 0.0);
   EXPECT_GT(decode->sum, 0.0);
 }

@@ -131,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
                  ga::ReplacementKind::kGenerational, ga::EncodingKind::kDirect},
         StatCase{"crowd_direct", ga::CrossoverKind::kRandom,
                  ga::ReplacementKind::kCrowding, ga::EncodingKind::kDirect}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& param_info) { return param_info.param.name; });
 
 // ---------------------------------------------------------------------------
 // Island model on the workflow substrate (states with heap storage).

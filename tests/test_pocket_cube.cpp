@@ -32,7 +32,9 @@ TEST(PocketCube, QuarterTurnsHaveOrderFour) {
     for (int t = 0; t < 4; ++t) {
       cube.apply(s, face * 3);  // quarter turn
       EXPECT_TRUE(PocketCube::well_formed(s));
-      if (t < 3) EXPECT_FALSE(cube.is_goal(s));
+      if (t < 3) {
+        EXPECT_FALSE(cube.is_goal(s));
+      }
     }
     EXPECT_TRUE(cube.is_goal(s)) << "face " << face << "^4 != identity";
   }
@@ -64,7 +66,9 @@ TEST(PocketCube, SexyMoveHasOrderSix) {
     cube.apply(s, 3 + 2);  // R'
     cube.apply(s, 0 + 2);  // U'
     EXPECT_TRUE(PocketCube::well_formed(s));
-    if (rep < 5) EXPECT_FALSE(cube.is_goal(s));
+    if (rep < 5) {
+      EXPECT_FALSE(cube.is_goal(s));
+    }
   }
   EXPECT_TRUE(cube.is_goal(s));
 }

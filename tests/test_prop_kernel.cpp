@@ -15,6 +15,15 @@
 // lane-word round trip (blank included), and 8 of them at a time give
 // lut_index8 / is_goal8 / apply8 results equal to the scalar lut_index /
 // is_goal / apply per lane, with lanes outside apply8's mask unchanged.
+//
+// So is the kernel pass's lane order: over drawn Hanoi slot sets (ties, 0, 1
+// and more than 8 lanes, cold and resumed, serial and pooled), the lanes a
+// pass decodes are the prepared lanes still decoding, longest remaining
+// first, with the length sequence of a comparison sort and, without goal
+// truncation, its vector step count. (With truncation a group whose longest
+// lane stops at the goal steps only as long as its other lanes run, so the
+// count also depends on how ties fall into groups, which std::sort leaves
+// unspecified.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,14 +34,17 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/decoder.hpp"
 #include "core/problem.hpp"
 #include "domains/hanoi.hpp"
 #include "domains/pocket_cube.hpp"
 #include "domains/sliding_tile.hpp"
+#include "obs/metrics.hpp"
 #include "prop/prop.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -367,6 +379,162 @@ TEST(PropKernel, HanoiLutCountIsPopcount) {
           << "disks " << disks << " slot " << i;
     }
   }
+}
+
+/// One kernel pass over Hanoi slots: genome lengths drawn from a narrow range
+/// so they tie, an empty genome finishing in prepare; `resumed` runs the pass
+/// a second time over mutated copies resuming from the first pass's
+/// evaluations, so lanes start at checkpoints or are reused whole.
+struct OrderCase {
+  int disks = 3;
+  std::vector<std::size_t> lengths;
+  bool resumed = false;
+  bool pooled = false;
+  std::uint64_t seed = 1;
+};
+
+prop::Gen<OrderCase> order_case() {
+  prop::Gen<OrderCase> g;
+  g.sample = [](util::Rng& rng) {
+    OrderCase c;
+    c.disks = 3 + static_cast<int>(rng.below(4));
+    // 0, 1, up to a group, or several groups of lanes.
+    static constexpr std::size_t kCounts[] = {0, 1, 8, 9, 40};
+    const std::size_t count = rng.below(3) == 0
+                                  ? kCounts[rng.below(std::size(kCounts))]
+                                  : 1 + rng.below(60);
+    const std::size_t lo = rng.below(40);
+    const std::size_t spread = 1 + rng.below(rng.below(2) == 0 ? 4 : 80);
+    for (std::size_t i = 0; i < count; ++i) {
+      c.lengths.push_back(rng.below(10) == 0 ? 0 : lo + rng.below(spread));
+    }
+    c.resumed = rng.below(2) == 0;
+    c.pooled = rng.below(2) == 0;
+    c.seed = rng();
+    return c;
+  };
+  g.shrink = [](const OrderCase& c) {
+    std::vector<OrderCase> out;
+    if (!c.lengths.empty()) {
+      OrderCase half = c;
+      half.lengths.resize(c.lengths.size() / 2);
+      out.push_back(std::move(half));
+      OrderCase drop = c;
+      drop.lengths.pop_back();
+      out.push_back(std::move(drop));
+    }
+    return out;
+  };
+  g.show = [](const OrderCase& c) {
+    std::string s = "hanoi(" + std::to_string(c.disks) + ") lanes=" +
+                    std::to_string(c.lengths.size()) + " lengths=[";
+    for (const std::size_t len : c.lengths) s += std::to_string(len) + " ";
+    return s + "]" + (c.resumed ? " resumed" : "") +
+           (c.pooled ? " pooled" : "");
+  };
+  return g;
+}
+
+std::uint64_t simd_steps_now() {
+  const auto snap = obs::snapshot_metrics();
+  const auto* c = snap.find_counter("eval.simd_steps");
+  return c == nullptr ? 0 : c->value;
+}
+
+using HanoiLane = ga::detail::KernelLane<domains::Hanoi::StateT>;
+
+TEST(PropKernel, LaneOrderIsALongestFirstPermutation) {
+  util::ThreadPool pool(2);
+  prop::check(
+      "kernel_lane_order", order_case(),
+      [&pool](const OrderCase& c) {
+        const domains::Hanoi hanoi(c.disks);
+        // No goal truncation (and Hanoi has no dead ends), so every lane runs
+        // its whole remaining() and a vector group steps as often as its
+        // longest lane: the step count is a function of the length sequence.
+        ga::DecodeOptions opt;
+        opt.truncate_at_goal = false;
+        opt.record_hashes = true;
+        opt.checkpoint_stride = ga::GaConfig{}.eval_checkpoint_stride;
+        const ga::KernelBatchDecoder<domains::Hanoi> kernel(hanoi, opt,
+                                                            false);
+        util::Rng rng(c.seed);
+        const std::size_t n = c.lengths.size();
+        std::vector<ga::Genome> parents(n), genomes(n);
+        std::vector<ga::Evaluation<domains::Hanoi::StateT>> first(n),
+            evals(n);
+        std::vector<ga::detail::KernelSlot<domains::Hanoi::StateT>> slots(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          parents[i].resize(c.lengths[i]);
+          for (double& gene : parents[i]) gene = rng.uniform();
+          slots[i].genes = parents[i];
+          slots[i].ev = &first[i];
+        }
+        ga::detail::KernelScratch<domains::Hanoi::StateT> scratch;
+        util::ThreadPool* const p = c.pooled ? &pool : nullptr;
+        if (c.resumed) {
+          kernel.run(hanoi.initial_state(), slots, scratch, p);
+          for (std::size_t i = 0; i < n; ++i) {
+            genomes[i] = parents[i];
+            const std::size_t dirty = rng.below(c.lengths[i] + 1);
+            if (dirty < genomes[i].size()) genomes[i][dirty] = rng.uniform();
+            slots[i] = {genomes[i], &first[i], parents[i], dirty, &evals[i]};
+          }
+        } else {
+          for (std::size_t i = 0; i < n; ++i) {
+            genomes[i] = parents[i];
+            slots[i] = {genomes[i], nullptr, {}, 0, &evals[i]};
+          }
+        }
+        const std::uint64_t steps0 = simd_steps_now();
+        kernel.run(hanoi.initial_state(), slots, scratch, p);
+        const std::uint64_t steps = simd_steps_now() - steps0;
+
+        std::vector<HanoiLane> live;
+        for (const HanoiLane& ln : scratch.prepared) {
+          if (ln.slot != nullptr) live.push_back(ln);
+        }
+        const std::vector<HanoiLane>& order = scratch.lanes;
+        ASSERT_EQ(order.size(), live.size());
+        for (std::size_t i = 1; i < order.size(); ++i) {
+          EXPECT_GE(order[i - 1].remaining(), order[i].remaining()) << i;
+        }
+        const auto key = [](const HanoiLane& ln) {
+          return std::pair(ln.slot, ln.pos);
+        };
+        std::vector<std::pair<const void*, std::size_t>> got, want;
+        for (const HanoiLane& ln : order) got.push_back(key(ln));
+        for (const HanoiLane& ln : live) want.push_back(key(ln));
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << "not a permutation of the prepared lanes";
+
+        std::vector<HanoiLane> sorted = live;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const HanoiLane& a, const HanoiLane& b) {
+                    return a.remaining() > b.remaining();
+                  });
+        std::uint64_t sorted_steps = 0;
+        for (std::size_t i = 0; i < sorted.size(); ++i) {
+          EXPECT_EQ(order[i].remaining(), sorted[i].remaining()) << i;
+          if (i % 8 == 0) sorted_steps += sorted[i].remaining();
+        }
+        bool vector = false;
+#if GAPLAN_AVX512_DECODE
+        vector = util::has_avx512_decode();
+#endif
+        EXPECT_EQ(steps, vector ? sorted_steps : 0u);
+
+        // And the pass decoded every slot as a cold decode would.
+        std::vector<int> ops_scratch;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto cold = ga::decode_indirect(hanoi, hanoi.initial_state(),
+                                                genomes[i], opt, ops_scratch);
+          EXPECT_EQ(evals[i].ops, cold.ops) << "slot " << i;
+          EXPECT_EQ(evals[i].op_signatures, cold.op_signatures) << "slot " << i;
+        }
+      },
+      {.iterations = 60});
 }
 
 }  // namespace

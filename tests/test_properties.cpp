@@ -111,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GaSolvesCase{"h4a", 4, 3}, GaSolvesCase{"h4b", 4, 4},
                       GaSolvesCase{"h5a", 5, 5}, GaSolvesCase{"h5b", 5, 6},
                       GaSolvesCase{"h6a", 6, 7}, GaSolvesCase{"h7a", 7, 8}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& param_info) { return param_info.param.name; });
 
 // ---------------------------------------------------------------------------
 // P3: goal fitness is a normalized measure — in [0, 1], and exactly 1 only at

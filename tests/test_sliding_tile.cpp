@@ -2,6 +2,9 @@
 // heuristics, instance generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+
 #include "core/problem.hpp"
 #include "domains/sliding_tile.hpp"
 #include "util/rng.hpp"
@@ -76,6 +79,27 @@ TEST(SlidingTile, ManhattanZeroOnlyAtGoal) {
   auto s = p.goal_state();
   p.apply(s, SlidingTile::kUp);
   EXPECT_EQ(p.manhattan(s), 1);
+}
+
+TEST(SlidingTile, ManhattanTableMatchesRowColumnFormula) {
+  // manhattan() sums a per-n table of cell-to-goal distances; a board that
+  // holds one tile on an otherwise blank board reads exactly one entry, so
+  // every (cell, tile) pair of every board size is checked against the
+  // row/column formula.
+  for (int n = 2; n <= 5; ++n) {
+    const SlidingTile p(n);
+    for (int cell = 0; cell < n * n; ++cell) {
+      for (int tile = 1; tile < n * n; ++tile) {
+        TileState s;
+        s.cells[cell] = static_cast<std::uint8_t>(tile);
+        const int goal = tile - 1;
+        const int want = std::abs(cell / n - goal / n) +
+                         std::abs(cell % n - goal % n);
+        ASSERT_EQ(p.manhattan(s), want)
+            << "n " << n << " cell " << cell << " tile " << tile;
+      }
+    }
+  }
 }
 
 TEST(SlidingTile, GoalFitnessEq6Bound) {
