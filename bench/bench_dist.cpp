@@ -188,6 +188,24 @@ bool worker_rpc(const WorkerProc& w, const std::string& line,
   return serve::parse_wire_message(resp, out, err);
 }
 
+/// Asks the worker to shut down and reaps it, so it exits through main (and
+/// flushes what an instrumented build records at exit); SIGKILL only if it
+/// is still running after five seconds.
+void stop_worker(WorkerProc& w) {
+  if (w.pid <= 0) return;
+  serve::WireMessage msg;
+  worker_rpc(w, "{\"cmd\":\"shutdown\"}", msg);
+  for (int i = 0; i < 500; ++i) {
+    int status = 0;
+    if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
+      w.pid = -1;
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  w.kill_now();
+}
+
 void wait_ready(const WorkerProc& w) {
   for (int i = 0; i < 200; ++i) {
     serve::WireMessage msg;
@@ -414,7 +432,7 @@ int main(int argc, char** argv) {
                               : 0.0;
   std::printf("  speedup: %.2fx at 2 workers, %.2fx at 4 workers\n", speedup2,
               speedup4);
-  for (auto& w : workers) w.kill_now();
+  for (auto& w : workers) stop_worker(w);
 
   // --- Cross-worker cache parity: gossip-wired pair. ---------------------
   // Gossip peers are configured at spawn, so both ports are reserved first
@@ -477,8 +495,8 @@ int main(int argc, char** argv) {
   std::printf("  cross-worker parity: %zu/%zu non-primary probes hit after "
               "gossip\n",
               cross_hits, cross_probes);
-  ga_.kill_now();
-  gb.kill_now();
+  stop_worker(ga_);
+  stop_worker(gb);
 
   // --- Failover: kill one of two workers with a request mid-plan. --------
   WorkerProc fa = spawn_worker(bin, {});
@@ -559,8 +577,8 @@ int main(int argc, char** argv) {
               fo_completed, fo_submitted,
               static_cast<unsigned long long>(fo_retries),
               static_cast<unsigned long long>(fo_mark_downs));
-  fa.kill_now();
-  fb.kill_now();
+  stop_worker(fa);
+  stop_worker(fb);  // already killed on purpose by the failover phase
 
   const std::string path = bench::csv_path("BENCH_dist.json");
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -144,37 +144,54 @@ void BM_EvaluateFull(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateFull);
 
+/// One crossover of `cfg`'s mechanism per iteration, spliced into two
+/// preallocated lanes as the engine's reproduction loop does.
+void run_crossover(benchmark::State& state, const ga::GaConfig& cfg,
+                   const ga::Genome& a,
+                   const std::vector<std::uint64_t>& keys_a,
+                   const ga::Genome& b,
+                   const std::vector<std::uint64_t>& keys_b, util::Rng& rng) {
+  ga::Genome buf1(cfg.max_length), buf2(cfg.max_length);
+  ga::GeneLane out1{buf1.data(), buf1.size(), 0};
+  ga::GeneLane out2{buf2.data(), buf2.size(), 0};
+  ga::CrossoverStats stats;
+  ga::CrossoverScratch scr;
+  for (auto _ : state) {
+    std::size_t da = 0, db = 0;
+    ga::crossover_lanes_into(cfg, a, keys_a, b, keys_b, rng, stats, scr, out1,
+                             out2, da, db);
+    benchmark::DoNotOptimize(buf1.data());
+    benchmark::DoNotOptimize(buf2.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_CrossoverRandom(benchmark::State& state) {
   util::Rng rng(6);
-  ga::Individual<domains::HanoiState> a, b;
-  a.genes = random_genome(static_cast<std::size_t>(state.range(0)), rng);
-  b.genes = random_genome(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    auto ca = a, cb = b;
-    ga::crossover_random(ca, cb, 10 * a.genes.size(), rng);
-    benchmark::DoNotOptimize(ca.genes.data());
-  }
+  const auto a = random_genome(static_cast<std::size_t>(state.range(0)), rng);
+  const auto b = random_genome(static_cast<std::size_t>(state.range(0)), rng);
+  ga::GaConfig cfg;
+  cfg.crossover = ga::CrossoverKind::kRandom;
+  cfg.max_length = 10 * a.size();
+  run_crossover(state, cfg, a, {}, b, {}, rng);
 }
 BENCHMARK(BM_CrossoverRandom)->Arg(64)->Arg(640);
 
 void BM_CrossoverStateAware(benchmark::State& state) {
   const domains::Hanoi h(6);
   util::Rng rng(7);
-  ga::Individual<domains::HanoiState> a, b;
-  a.genes = random_genome(static_cast<std::size_t>(state.range(0)), rng);
-  b.genes = random_genome(static_cast<std::size_t>(state.range(0)), rng);
+  const auto a = random_genome(static_cast<std::size_t>(state.range(0)), rng);
+  const auto b = random_genome(static_cast<std::size_t>(state.range(0)), rng);
   std::vector<int> scratch;
   ga::DecodeOptions opt;
   opt.truncate_at_goal = false;
-  a.eval = ga::decode_indirect(h, h.initial_state(), a.genes, opt, scratch);
-  b.eval = ga::decode_indirect(h, h.initial_state(), b.genes, opt, scratch);
-  std::vector<std::size_t> buf;
-  for (auto _ : state) {
-    auto ca = a, cb = b;
-    ga::crossover_state_aware(ca, cb, 10 * a.genes.size(),
-                              ga::StateMatchKind::kValidOps, rng, buf);
-    benchmark::DoNotOptimize(ca.genes.data());
-  }
+  const auto ev_a = ga::decode_indirect(h, h.initial_state(), a, opt, scratch);
+  const auto ev_b = ga::decode_indirect(h, h.initial_state(), b, opt, scratch);
+  ga::GaConfig cfg;
+  cfg.crossover = ga::CrossoverKind::kStateAware;
+  cfg.state_match = ga::StateMatchKind::kValidOps;
+  cfg.max_length = 10 * a.size();
+  run_crossover(state, cfg, a, ev_a.op_signatures, b, ev_b.op_signatures, rng);
 }
 BENCHMARK(BM_CrossoverStateAware)->Arg(64)->Arg(640);
 
@@ -182,8 +199,10 @@ void BM_MutateGenome(benchmark::State& state) {
   util::Rng rng(8);
   auto genes = random_genome(static_cast<std::size_t>(state.range(0)), rng);
   for (auto _ : state) {
-    ga::mutate(genes, 0.01, rng);
+    std::size_t first = ga::kCleanGenome;
+    ga::mutate_tracked(genes, 0.01, rng, first);
     benchmark::DoNotOptimize(genes.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MutateGenome)->Arg(640);

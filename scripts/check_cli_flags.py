@@ -11,6 +11,10 @@ Checks that:
     value (negative, trailing junk) exits 2 with a message naming the flag,
     instead of running with a wrapped or truncated number,
   * --tcp accepts only an integer in [0, 65535], on all three binaries,
+  * gaplan_router refuses a backend weight whose ring would not fit
+    (dist.ring-too-large) with exit 2,
+  * an unknown flag prints the usage text and exits 2, on all three
+    binaries,
   * well-formed values still start the service,
   * gaplan_worker --config honours a .serve file's metrics-dump-path.
 
@@ -110,6 +114,30 @@ def check_router(router, errors):
     for value in ["abc", "70000", "-1"]:
         expect_bad_value([router, "--backend", "127.0.0.1:1", "--tcp", value],
                          "--tcp", value, errors)
+    # A finite weight that passes dist.weight-nonpositive but would ask the
+    # ring for more points than fit in memory (or in an integer) is a lint
+    # error, not an abort inside the ring's allocation.
+    argv = [router, "--backend", "127.0.0.1:1:1e300", "--tcp", "0"]
+    try:
+        proc = subprocess.run(argv, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=5)
+    except subprocess.TimeoutExpired:
+        errors.append("gaplan_router with weight 1e300: still running after "
+                      "5 s instead of exiting 2")
+        return
+    if proc.returncode != 2 or "dist.ring-too-large" not in proc.stderr:
+        errors.append(f"gaplan_router with weight 1e300: expected exit 2 "
+                      f"naming dist.ring-too-large, got {proc.returncode}: "
+                      f"{proc.stderr.strip()!r}")
+
+
+def check_usage(binary, errors):
+    tag = os.path.basename(binary)
+    proc = subprocess.run([binary, "--no-such-flag"], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=5)
+    if proc.returncode != 2 or "usage" not in proc.stderr.lower():
+        errors.append(f"{tag} --no-such-flag: expected exit 2 with the usage "
+                      f"text, got {proc.returncode}: {proc.stderr.strip()!r}")
 
 
 def main():
@@ -124,6 +152,8 @@ def main():
     check_worker(args.worker, errors)
     check_worker_metrics_dump(args.worker, errors)
     check_router(args.router, errors)
+    for binary in (args.serve, args.worker, args.router):
+        check_usage(binary, errors)
 
     for err in errors:
         print(f"check_cli_flags: {err}", file=sys.stderr)

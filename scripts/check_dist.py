@@ -17,7 +17,9 @@ Drives one distributed session:
     router retries the idempotent submit on the survivor and the pending
     wait still completes (stats must show the retry and the mark-down),
   * a router with no backends refuses to start (dist lint gate, exit 2),
-  * protocol errors answer in-band, and shutdown stops the router cleanly.
+  * protocol errors answer in-band, and shutdown stops the router and the
+    surviving worker cleanly (exit 0, so an instrumented build records
+    their coverage).
 
 Exit status: 0 when the whole session is clean, 1 otherwise.
 """
@@ -218,12 +220,23 @@ def run(args, errors, procs):
 
     expect(rpc(rport, {"cmd": "shutdown"}, "shutdown", errors), "shutdown",
            errors, ok=True)
+    wait_exit(router, "router", errors)
+    # The surviving worker exits through its own shutdown verb too, so no
+    # process but the deliberately killed one ends on a signal.
+    for proc, port in ((w1, port1), (w2, port2)):
+        if proc.poll() is None:
+            expect(rpc(port, {"cmd": "shutdown"}, "worker shutdown", errors),
+                   "worker shutdown", errors, ok=True)
+            wait_exit(proc, "worker", errors)
+
+
+def wait_exit(proc, tag, errors):
     try:
-        rc = router.wait(timeout=20)
+        rc = proc.wait(timeout=20)
         if rc != 0:
-            errors.append(f"router exited {rc} after shutdown")
+            errors.append(f"{tag} exited {rc} after shutdown")
     except subprocess.TimeoutExpired:
-        errors.append("router did not exit after shutdown")
+        errors.append(f"{tag} did not exit after shutdown")
 
 
 if __name__ == "__main__":

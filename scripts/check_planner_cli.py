@@ -5,8 +5,10 @@ Usage:
   scripts/check_planner_cli.py --exec PLANNER_CLI
 
 Checks that a malformed, out-of-range or surplus --builtin field exits 2
-with a diagnostic naming the field, before any planning starts, and that
-well-formed specs of every kind still plan (exit 0 or 1).
+with a diagnostic naming the field, before any planning starts, that
+well-formed specs of every kind still plan (exit 0 or 1), and that a
+non-quiet search run describes the built-in and prints a valid plan step by
+step.
 
 Exit status: 0 when every case holds, 1 otherwise.
 """
@@ -36,6 +38,15 @@ GOOD_SPECS = ["hanoi:3", "sokoban:0", "tiles:2:7", "cube:1:7"]
 
 QUICK = ["--quiet", "--pop", "20", "--gens", "10", "--phases", "1"]
 
+# (spec, algorithm, text the description must contain): optimal searches on
+# tiny instances, printed in full.
+VERBOSE_RUNS = [
+    ("hanoi:3", "bfs", "built-in: 3-disk Towers of Hanoi"),
+    ("sokoban:0", "bfs", "built-in: Sokoban level"),
+    ("tiles:2:7", "astar", "built-in: random solvable 2x2 puzzle"),
+    ("cube:1:7", "bfs", "VALID PLAN"),
+]
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -61,11 +72,20 @@ def main():
             errors.append(f"{spec}: exit {proc.returncode}, stdout "
                           f"{proc.stdout.strip()!r}, stderr "
                           f"{proc.stderr.strip()!r}")
+    for spec, algo, want in VERBOSE_RUNS:
+        proc = subprocess.run([args.exec, "--builtin", spec, "--algo", algo],
+                              capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+        if (proc.returncode != 0 or want not in proc.stdout
+                or "VALID PLAN" not in proc.stdout):
+            errors.append(f"{spec} --algo {algo}: exit {proc.returncode}, "
+                          f"stdout {proc.stdout.strip()!r}")
     for e in errors:
         print(f"FAIL {e}", file=sys.stderr)
     if not errors:
         print(f"ok: {len(BAD_SPECS)} malformed specs rejected, "
-              f"{len(GOOD_SPECS)} well-formed specs planned")
+              f"{len(GOOD_SPECS) + len(VERBOSE_RUNS)} well-formed specs "
+              "planned")
     return 1 if errors else 0
 
 

@@ -13,8 +13,9 @@
 #   ubsan          UndefinedBehaviorSanitizer over the whole suite.
 #   tsan           ThreadSanitizer over the concurrent subsystems only (the
 #                  planning service, its protocol core and TCP line server,
-#                  its thread pool, the islands model, and the pooled SoA
-#                  evaluator's threaded lane splicing) —
+#                  worker gossip and the router's backend pool, its thread
+#                  pool, the islands model, and the pooled SoA evaluator's
+#                  threaded lane splicing) —
 #                  TSan's ~10x slowdown makes the full suite impractical,
 #                  and the single-threaded tests have nothing for it to
 #                  find. Not part of "all"; run it explicitly.
@@ -115,7 +116,7 @@ case "${lane}" in
   asan)  run_lane asan address "$@" ;;
   ubsan) run_lane ubsan undefined "$@" ;;
   tsan)  run_lane tsan thread \
-           -R 'PlanService|PlanCache|ThreadPool|Serve|Island|Soa|Prop|Dist|Protocol|LineServer|serve_smoke|trace_analyze_smoke|dist_smoke|cli_flags_smoke' \
+           -R 'PlanService|PlanCache|ThreadPool|Serve|Island|Soa|Prop|Dist|Protocol|LineServer|Gossip|RouterBackends|serve_smoke|trace_analyze_smoke|dist_smoke|cli_flags_smoke' \
            "$@" ;;
   prop)  GAPLAN_PROP_ITERS="${GAPLAN_PROP_ITERS:-20}" \
            run_lane asan address -L prop "$@" ;;

@@ -18,7 +18,7 @@ std::string num(double v) {
 Report lint_config(const ga::GaConfig& cfg) {
   Report report;
 
-  // --- errors: the validate() invariant set, one code each -----------------
+  // --- errors: the GaConfig invariants, one code each ---------------------
   // Finiteness first: NaN passes every range check below (both halves of
   // `x < lo || x > hi` are false) and +inf passes `>= 0`, but non-finite
   // knobs poison fitness scores and plan-cache fingerprints.
@@ -149,7 +149,6 @@ void enforce_config(const ga::GaConfig& cfg, const char* context) {
   const Report report = lint_config(cfg);
   report.emit_to_journal(context);
   if (report.has_errors()) {
-    // Same contract (and message prefix) as GaConfig::validate().
     for (const Diagnostic& d : report.diagnostics()) {
       if (d.severity == Severity::kError) {
         throw std::invalid_argument("GaConfig: " + d.message + " [" + d.code +

@@ -1,7 +1,7 @@
-// GaConfig linter (gaplan-lint): every GaConfig::validate() invariant as a
-// structured diagnostic, plus degradation warnings validate() cannot raise.
+// GaConfig linter (gaplan-lint): the one list of GaConfig invariants, each a
+// structured diagnostic, plus degradation warnings.
 //
-// Error codes (mirror validate(); any of these makes the config unusable):
+// Error codes (any of these makes the config unusable):
 //   config.population-too-small   population_size < 2
 //   config.population-odd         population_size not even (pairwise breeding;
 //                                 GaConfig::scaled() must preserve parity)
@@ -28,8 +28,8 @@
 //                                     is closer to random search
 //
 // The engine and replanner call enforce_config() before any evaluation: the
-// errors throw (as validate() always did), the warnings go to the run
-// journal as "lint" events and bump the lint.warnings counter.
+// errors throw std::invalid_argument, the warnings go to the run journal as
+// "lint" events and bump the lint.warnings counter.
 #pragma once
 
 #include "analysis/diagnostic.hpp"

@@ -32,12 +32,6 @@ void Report::warning(std::string code, std::string message, std::string subject,
       std::move(subject), std::move(loc));
 }
 
-void Report::info(std::string code, std::string message, std::string subject,
-                  SourceLoc loc) {
-  add(Severity::kInfo, std::move(code), std::move(message), std::move(subject),
-      std::move(loc));
-}
-
 void Report::merge(const Report& other) {
   diags_.insert(diags_.end(), other.diags_.begin(), other.diags_.end());
 }

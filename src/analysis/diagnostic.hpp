@@ -47,8 +47,6 @@ class Report {
              SourceLoc loc = {});
   void warning(std::string code, std::string message, std::string subject = {},
                SourceLoc loc = {});
-  void info(std::string code, std::string message, std::string subject = {},
-            SourceLoc loc = {});
 
   /// Appends every finding of `other` (multi-analyzer runs).
   void merge(const Report& other);

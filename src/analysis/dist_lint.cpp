@@ -1,6 +1,7 @@
 #include "analysis/dist_lint.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -30,6 +31,17 @@ analysis::Report lint_router_config(const RouterConfig& cfg) {
                    "backend '" + id + "' has weight " +
                        std::to_string(b.weight) +
                        " — it would own no ring points",
+                   id);
+    } else if (const double points =
+                   b.weight * static_cast<double>(cfg.vnodes_per_unit);
+               points > static_cast<double>(kMaxRingPointsPerBackend)) {
+      char asked[32] = {};
+      std::snprintf(asked, sizeof asked, "%.6g", points);
+      report.error("dist.ring-too-large",
+                   "backend '" + id + "' asks for " + asked +
+                       " ring points (weight x vnodes) — at most " +
+                       std::to_string(kMaxRingPointsPerBackend) +
+                       " per backend",
                    id);
     }
   }

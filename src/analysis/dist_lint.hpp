@@ -13,6 +13,9 @@
 //                               would never be detected or recovered
 //   dist.weight-nonpositive     a backend weight <= 0 or non-finite (it
 //                               would own no ring points)
+//   dist.ring-too-large         weight x vnodes above
+//                               kMaxRingPointsPerBackend ring points for one
+//                               backend (the ring could not be allocated)
 //   dist.bad-backoff            reconnect backoff <= 0, max below initial,
 //                               or non-positive vnodes / negative retry
 //                               limit

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 namespace gaplan::ga {
 
@@ -54,46 +53,6 @@ const char* to_string(ReplacementKind k) noexcept {
     case ReplacementKind::kCrowding: return "crowding";
   }
   return "?";
-}
-
-namespace {
-void check(bool ok, const char* what) {
-  if (!ok) throw std::invalid_argument(std::string("GaConfig: ") + what);
-}
-}  // namespace
-
-void GaConfig::validate() const {
-  // NaN slips through every `x < lo || x > hi` range check below (both
-  // comparisons are false), and +inf weights pass plain `>= 0`: gate all
-  // double knobs on finiteness first so neither reaches fitness scoring or
-  // the plan-cache fingerprint.
-  check(std::isfinite(crossover_rate) && std::isfinite(mutation_rate) &&
-            std::isfinite(seed_fraction) && std::isfinite(seed_greediness) &&
-            std::isfinite(goal_weight) && std::isfinite(cost_weight) &&
-            std::isfinite(match_weight),
-        "rates and weights must be finite (no NaN/inf)");
-  check(population_size >= 2, "population_size must be >= 2");
-  check(population_size % 2 == 0, "population_size must be even (pairwise crossover)");
-  check(generations >= 1, "generations must be >= 1");
-  check(phases >= 1, "phases must be >= 1");
-  check(initial_length >= 1, "initial_length must be >= 1");
-  check(max_length >= initial_length, "max_length must be >= initial_length");
-  check(crossover_rate >= 0.0 && crossover_rate <= 1.0,
-        "crossover_rate must be in [0, 1]");
-  check(mutation_rate >= 0.0 && mutation_rate <= 1.0,
-        "mutation_rate must be in [0, 1]");
-  check(tournament_size >= 1, "tournament_size must be >= 1");
-  check(goal_weight >= 0.0 && cost_weight >= 0.0,
-        "fitness weights must be non-negative");
-  check(goal_weight + cost_weight > 0.0, "fitness weights must not both be 0");
-  check(match_weight >= 0.0, "match_weight must be non-negative");
-  check(elite_count < population_size, "elite_count must be < population_size");
-  check(seed_fraction >= 0.0 && seed_fraction <= 1.0,
-        "seed_fraction must be in [0, 1]");
-  check(seed_greediness >= 0.0 && seed_greediness <= 1.0,
-        "seed_greediness must be in [0, 1]");
-  check(!incremental_eval || eval_checkpoint_stride >= 1,
-        "eval_checkpoint_stride must be >= 1 when incremental_eval is on");
 }
 
 GaConfig GaConfig::scaled(double generations_factor, double population_factor,

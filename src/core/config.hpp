@@ -119,13 +119,10 @@ struct GaConfig {
   /// can end *worse* than it began). Ablated in bench/ablation_multiphase.
   bool monotone_phases = true;
 
-  /// Throws std::invalid_argument describing the first violated constraint.
-  void validate() const;
-
   /// Escalated copy for planning retries (grid::ReplanConfig's backoff
   /// schedule): generations and population scaled by the given factors, the
   /// population kept even and clamped to [2, max_population], and elite_count
-  /// re-clamped so the result still validates.
+  /// re-clamped so the result still passes analysis::enforce_config.
   GaConfig scaled(double generations_factor, double population_factor,
                   std::size_t max_population) const;
 

@@ -20,8 +20,7 @@
 // crossover_lanes_into is the one implementation: it reads parent genomes as
 // spans, splices children into caller-owned gene lanes (allocation-free, the
 // engine's hot reproduction loop) and reports each child's first modified
-// gene index, which is what the incremental decoder resumes from. The Genome
-// and Individual entry points wrap it and draw identical random sequences.
+// gene index, which is what the incremental decoder resumes from.
 #pragma once
 
 #include <algorithm>
@@ -62,8 +61,6 @@ inline constexpr std::size_t kCleanGenome =
 
 /// Reusable buffers for allocation-free crossover (one per breeding thread).
 struct CrossoverScratch {
-  Genome buf1;
-  Genome buf2;
   std::vector<std::size_t> match_buffer;
 };
 
@@ -272,32 +269,6 @@ inline bool crossover_lanes_into(const GaConfig& cfg, std::span<const Gene> a,
   return false;
 }
 
-/// crossover_lanes_into on vector genomes, in place: when the operator
-/// produces children (returns true) they replace the parents, otherwise both
-/// parents stay unchanged. Same draws, stats and dirty indices.
-inline bool crossover_genomes(const GaConfig& cfg, Genome& a,
-                              const std::vector<std::uint64_t>& keys_a,
-                              Genome& b,
-                              const std::vector<std::uint64_t>& keys_b,
-                              util::Rng& rng, CrossoverStats& stats,
-                              CrossoverScratch& scr, std::size_t& dirty_a,
-                              std::size_t& dirty_b) {
-  // Every child fits in |a| + |b| genes, so only max_length truncates.
-  scr.buf1.resize(a.size() + b.size());
-  scr.buf2.resize(a.size() + b.size());
-  GeneLane l1{scr.buf1.data(), scr.buf1.size(), 0};
-  GeneLane l2{scr.buf2.data(), scr.buf2.size(), 0};
-  if (!crossover_lanes_into(cfg, a, keys_a, b, keys_b, rng, stats, scr, l1, l2,
-                            dirty_a, dirty_b)) {
-    return false;
-  }
-  scr.buf1.resize(l1.size);
-  scr.buf2.resize(l2.size);
-  std::swap(a, scr.buf1);
-  std::swap(b, scr.buf2);
-  return true;
-}
-
 namespace detail {
 
 /// Match-key trajectory an evaluation offers for `match` (state hashes for
@@ -309,78 +280,6 @@ const std::vector<std::uint64_t>& match_keys(const Evaluation<State>& ev,
                                               : ev.op_signatures;
 }
 
-/// One crossover of `cfg`'s mechanism on a pair of individuals, in place,
-/// tallied into `stats`; returns whether the operator exchanged anything.
-template <typename State>
-bool crossover_individuals(const GaConfig& cfg, Individual<State>& a,
-                           Individual<State>& b, util::Rng& rng,
-                           CrossoverStats& stats, CrossoverScratch& scr) {
-  const auto done = [&] {
-    return stats.random_done + stats.state_aware_done + stats.uniform_done;
-  };
-  const std::size_t before = done();
-  std::size_t da = kCleanGenome, db = kCleanGenome;
-  crossover_genomes(cfg, a.genes, match_keys(a.eval, cfg.state_match), b.genes,
-                    match_keys(b.eval, cfg.state_match), rng, stats, scr, da,
-                    db);
-  return done() > before;
-}
-
 }  // namespace detail
-
-/// Random one-point crossover on a pair of individuals.
-template <typename State>
-bool crossover_random(Individual<State>& a, Individual<State>& b,
-                      std::size_t max_length, util::Rng& rng) {
-  GaConfig cfg;
-  cfg.crossover = CrossoverKind::kRandom;
-  cfg.max_length = max_length;
-  CrossoverStats stats;
-  CrossoverScratch scr;
-  return detail::crossover_individuals(cfg, a, b, rng, stats, scr);
-}
-
-/// State-aware crossover on a pair of individuals. Requires both parents to
-/// carry trajectory records (evaluated with record_hashes on).
-template <typename State>
-bool crossover_state_aware(Individual<State>& a, Individual<State>& b,
-                           std::size_t max_length, StateMatchKind match,
-                           util::Rng& rng,
-                           std::vector<std::size_t>& match_buffer) {
-  GaConfig cfg;
-  cfg.crossover = CrossoverKind::kStateAware;
-  cfg.state_match = match;
-  cfg.max_length = max_length;
-  CrossoverStats stats;
-  CrossoverScratch scr;
-  scr.match_buffer = std::move(match_buffer);
-  const bool done = detail::crossover_individuals(cfg, a, b, rng, stats, scr);
-  match_buffer = std::move(scr.match_buffer);
-  return done;
-}
-
-/// Uniform crossover over the shared prefix (extension).
-template <typename State>
-bool crossover_uniform(Individual<State>& a, Individual<State>& b,
-                       util::Rng& rng) {
-  GaConfig cfg;
-  cfg.crossover = CrossoverKind::kUniform;
-  CrossoverStats stats;
-  CrossoverScratch scr;
-  return detail::crossover_individuals(cfg, a, b, rng, stats, scr);
-}
-
-/// Dispatches on the configured mechanism; updates `stats`. The pair is
-/// modified in place (children replace parents). When crossover cannot be
-/// performed both parents survive unchanged, per the paper.
-template <typename State>
-void crossover_pair(const GaConfig& cfg, Individual<State>& a, Individual<State>& b,
-                    util::Rng& rng, CrossoverStats& stats,
-                    std::vector<std::size_t>& match_buffer) {
-  CrossoverScratch scr;
-  scr.match_buffer = std::move(match_buffer);
-  detail::crossover_individuals(cfg, a, b, rng, stats, scr);
-  match_buffer = std::move(scr.match_buffer);
-}
 
 }  // namespace gaplan::ga

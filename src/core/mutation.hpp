@@ -13,9 +13,8 @@ namespace gaplan::ga {
 /// Mutates each gene independently with probability `rate`; returns the
 /// number of genes replaced and records the index of the first replaced gene
 /// in `first_mutated` (untouched when nothing mutates — seed it with the
-/// caller's current dirty bound, e.g. kCleanGenome). Draws the same random
-/// sequence as mutate() below. The span form serves the struct-of-arrays
-/// genome pool, whose genomes are lanes rather than vectors.
+/// caller's current dirty bound, e.g. kCleanGenome). Takes a span because
+/// the struct-of-arrays genome pool's genomes are lanes rather than vectors.
 inline std::size_t mutate_tracked(std::span<Gene> genes, double rate,
                                   util::Rng& rng, std::size_t& first_mutated) {
   const std::uint64_t threshold = util::Rng::chance_threshold(rate);
@@ -28,18 +27,6 @@ inline std::size_t mutate_tracked(std::span<Gene> genes, double rate,
     }
   }
   return mutated;
-}
-
-inline std::size_t mutate_tracked(Genome& genes, double rate, util::Rng& rng,
-                                  std::size_t& first_mutated) {
-  return mutate_tracked(std::span<Gene>(genes), rate, rng, first_mutated);
-}
-
-/// Mutates each gene independently with probability `rate`; returns the
-/// number of genes replaced.
-inline std::size_t mutate(Genome& genes, double rate, util::Rng& rng) {
-  std::size_t first = kNoGoal;  // unused
-  return mutate_tracked(genes, rate, rng, first);
 }
 
 }  // namespace gaplan::ga

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/key_value.hpp"
+
 namespace gaplan::dist {
 
 namespace {
@@ -100,77 +102,46 @@ std::optional<BackendSpec> parse_backend(std::string_view text,
   return spec;
 }
 
-std::string RouterConfig::summary() const {
-  std::ostringstream out;
-  out << "backends=" << backends.size() << " [";
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    if (i) out << " ";
-    out << backends[i].id();
-    if (backends[i].weight != 1.0) out << "(w=" << backends[i].weight << ")";
-  }
-  out << "] heartbeat=" << heartbeat_interval_ms << "ms"
-      << " backoff=" << reconnect_backoff_ms << ".."
-      << reconnect_backoff_max_ms << "ms"
-      << " vnodes=" << vnodes_per_unit << " retries=" << retry_limit;
-  if (!probe_all_on_miss) out << " probe-fanout=off";
-  return out.str();
-}
-
 namespace {
+
+/// The `.dist` setter for analysis::read_key_values. `backend` repeats, so
+/// each valid one appends to the list.
+analysis::KeyStatus set_router_key(RouterConfig& config, const std::string& key,
+                                   const std::string& value,
+                                   std::string& error) {
+  bool ok = true;
+  if (key == "backend") {
+    const auto spec = parse_backend(value, &error);
+    if (spec) config.backends.push_back(*spec);
+    ok = spec.has_value();
+  } else if (key == "heartbeat-interval-ms") {
+    ok = parse_int(value, config.heartbeat_interval_ms);
+  } else if (key == "reconnect-backoff-ms") {
+    ok = parse_int(value, config.reconnect_backoff_ms);
+  } else if (key == "reconnect-backoff-max-ms") {
+    ok = parse_int(value, config.reconnect_backoff_max_ms);
+  } else if (key == "vnodes") {
+    ok = parse_int(value, config.vnodes_per_unit);
+  } else if (key == "retry-limit") {
+    ok = parse_int(value, config.retry_limit);
+  } else if (key == "probe-fanout") {
+    ok = parse_bool(value, config.probe_all_on_miss);
+  } else {
+    return analysis::KeyStatus::kUnknownKey;
+  }
+  return ok ? analysis::KeyStatus::kSet : analysis::KeyStatus::kBadValue;
+}
 
 RouterConfigFile parse_lines(std::istream& in, const std::string& path) {
   RouterConfigFile file;
   file.path = path;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string key, value, extra;
-    if (!(fields >> key)) continue;  // blank / comment-only line
-    const analysis::SourceLoc loc{path, line_no, 1};
-    if (!(fields >> value) || (fields >> extra)) {
-      file.parse_report.error("dist.bad-value",
-                              "expected exactly 'key value' on this line", key,
-                              loc);
-      continue;
-    }
-    bool ok = true;
-    if (key == "backend") {
-      std::string err;
-      if (const auto spec = parse_backend(value, &err)) {
-        file.config.backends.push_back(*spec);
-      } else {
-        file.parse_report.error("dist.bad-value", err, key, loc);
-      }
-      continue;
-    } else if (key == "heartbeat-interval-ms") {
-      ok = parse_int(value, file.config.heartbeat_interval_ms);
-    } else if (key == "reconnect-backoff-ms") {
-      ok = parse_int(value, file.config.reconnect_backoff_ms);
-    } else if (key == "reconnect-backoff-max-ms") {
-      ok = parse_int(value, file.config.reconnect_backoff_max_ms);
-    } else if (key == "vnodes") {
-      ok = parse_int(value, file.config.vnodes_per_unit);
-    } else if (key == "retry-limit") {
-      ok = parse_int(value, file.config.retry_limit);
-    } else if (key == "probe-fanout") {
-      ok = parse_bool(value, file.config.probe_all_on_miss);
-    } else {
-      file.parse_report.warning("dist.unknown-key",
-                                "unknown RouterConfig key '" + key + "'", key,
-                                loc);
-      continue;
-    }
-    if (!ok) {
-      file.parse_report.error(
-          "dist.bad-value",
-          "cannot parse '" + value + "' as a value for '" + key + "'", key,
-          loc);
-    }
-  }
+  analysis::read_key_values(
+      in, path, "dist", "RouterConfig",
+      [&](const std::string& key, const std::string& value,
+          std::string& error) {
+        return set_router_key(file.config, key, value, error);
+      },
+      file.parse_report);
   return file;
 }
 

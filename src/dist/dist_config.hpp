@@ -51,6 +51,12 @@ struct BackendSpec {
 std::optional<BackendSpec> parse_backend(std::string_view text,
                                          std::string* error = nullptr);
 
+/// Most ring points one backend may own (weight × vnodes_per_unit). The dist
+/// lint rejects configs past it (dist.ring-too-large): a huge finite weight
+/// would otherwise ask the ring for billions of points, or for a count that
+/// does not fit in an integer at all.
+inline constexpr std::int64_t kMaxRingPointsPerBackend = std::int64_t{1} << 20;
+
 struct RouterConfig {
   std::vector<BackendSpec> backends;
   /// Heartbeat (ping verb) period per backend.
@@ -67,9 +73,6 @@ struct RouterConfig {
   /// On a primary cache_probe miss, also probe the other up backends and
   /// repair the primary with any hit before dispatching.
   bool probe_all_on_miss = true;
-
-  /// One-line human summary for startup logs.
-  std::string summary() const;
 };
 
 /// A parsed `.dist` file: the config plus line-numbered parse diagnostics

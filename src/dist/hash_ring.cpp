@@ -70,13 +70,6 @@ bool HashRing::remove(const std::string& id) {
   return true;
 }
 
-std::vector<std::string> HashRing::backends() const {
-  std::vector<std::string> out;
-  out.reserve(backends_.size());
-  for (const Backend& b : backends_) out.push_back(b.id);
-  return out;
-}
-
 std::size_t HashRing::first_at_or_after(std::uint64_t key) const {
   const auto it = std::lower_bound(
       points_.begin(), points_.end(), key,

@@ -49,7 +49,6 @@ class HashRing {
   std::size_t size() const noexcept { return backends_.size(); }
   bool empty() const noexcept { return backends_.empty(); }
   std::size_t points() const noexcept { return points_.size(); }
-  std::vector<std::string> backends() const;
 
   /// The owner of `key`, or nullptr on an empty ring. The pointer stays
   /// valid until the next add/remove.

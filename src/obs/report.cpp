@@ -49,38 +49,6 @@ void prom_number(std::string& out, double v) {
 
 }  // namespace
 
-std::string render_metrics_text(const MetricsSnapshot& snap) {
-  std::string out;
-  char line[256];
-  if (!snap.counters.empty()) {
-    out += "counters:\n";
-    for (const auto& c : snap.counters) {
-      std::snprintf(line, sizeof line, "  %-32s %llu\n", c.name.c_str(),
-                    static_cast<unsigned long long>(c.value));
-      out += line;
-    }
-  }
-  if (!snap.gauges.empty()) {
-    out += "gauges:\n";
-    for (const auto& g : snap.gauges) {
-      std::snprintf(line, sizeof line, "  %-32s %lld\n", g.name.c_str(),
-                    static_cast<long long>(g.value));
-      out += line;
-    }
-  }
-  if (!snap.histograms.empty()) {
-    out += "histograms:                        count      mean       p50       p95\n";
-    for (const auto& h : snap.histograms) {
-      std::snprintf(line, sizeof line, "  %-32s %5llu %9.3g %9.3g %9.3g\n",
-                    h.name.c_str(), static_cast<unsigned long long>(h.count),
-                    h.mean(), h.percentile(0.5), h.p95());
-      out += line;
-    }
-  }
-  if (out.empty()) out = "(no metrics registered)\n";
-  return out;
-}
-
 std::string render_metrics_json(const MetricsSnapshot& snap) {
   std::string out = "{\"counters\":{";
   bool first = true;

@@ -1,10 +1,9 @@
-// Metrics exporters: render a MetricsSnapshot as human-readable text, as a
-// JSON document, or as Prometheus text exposition, and dump the live
-// registry to a file — once (write_metrics_json) or periodically
-// (MetricsDumper, the live telemetry plane of gaplan-serve). The bench
-// harnesses call write_metrics_json() next to their CSVs when GAPLAN_METRICS
-// is set, so every table run leaves behind the counters/latency
-// distributions that produced it.
+// Metrics exporters: render a MetricsSnapshot as a JSON document or as
+// Prometheus text exposition, and dump the live registry to a file — once
+// (write_metrics_json) or periodically (MetricsDumper, the live telemetry
+// plane of gaplan-serve). The bench harnesses call write_metrics_json() next
+// to their CSVs when GAPLAN_METRICS is set, so every table run leaves behind
+// the counters/latency distributions that produced it.
 #pragma once
 
 #include <string>
@@ -12,10 +11,6 @@
 #include "obs/metrics.hpp"
 
 namespace gaplan::obs {
-
-/// Aligned text report: counters, gauges, then histograms with count / mean /
-/// p50 / p95 / max-edge columns.
-std::string render_metrics_text(const MetricsSnapshot& snap);
 
 /// JSON document: {"counters":{...},"gauges":{...},"histograms":{name:
 /// {"count":…,"sum":…,"mean":…,"p50":…,"p95":…,"buckets":[{"le":…,"n":…}…]}}}.

@@ -7,15 +7,6 @@
 
 namespace gaplan::serve {
 
-const char* to_string(ProblemKind k) noexcept {
-  switch (k) {
-    case ProblemKind::kHanoi: return "hanoi";
-    case ProblemKind::kSokoban: return "sokoban";
-    case ProblemKind::kTiles: return "tiles";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Small push-level Sokoban instances: solvable, a few boxes, mixed

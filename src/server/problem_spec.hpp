@@ -36,8 +36,6 @@ namespace gaplan::serve {
 
 enum class ProblemKind { kHanoi, kSokoban, kTiles };
 
-const char* to_string(ProblemKind k) noexcept;
-
 struct ProblemSpec {
   ProblemKind kind = ProblemKind::kHanoi;
   // hanoi

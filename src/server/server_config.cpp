@@ -2,33 +2,9 @@
 
 #include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "server/server_lint.hpp"
-
 namespace gaplan::serve {
-
-void ServerConfig::validate() const {
-  const analysis::Report report = lint_server_config(*this);
-  if (report.has_errors()) {
-    throw std::invalid_argument("ServerConfig: " + report.first_error());
-  }
-}
-
-std::string ServerConfig::summary() const {
-  std::ostringstream out;
-  out << "workers=" << workers << " ga_threads=" << ga_threads
-      << " queue=" << queue_capacity;
-  if (shed_depth > 0) out << " shed=" << shed_depth;
-  out << " cache=" << cache_capacity << "x" << cache_shards
-      << " slice=" << slice_phases;
-  if (default_deadline_ms > 0.0) out << " deadline=" << default_deadline_ms << "ms";
-  if (!metrics_dump_path.empty()) {
-    out << " metrics=" << metrics_dump_path << "@" << metrics_dump_ms << "ms";
-  }
-  return out.str();
-}
 
 namespace {
 
@@ -51,44 +27,6 @@ bool parse_ms(const std::string& value, double& out) {
   } catch (const std::exception&) {
     return false;
   }
-}
-
-ServerConfigFile parse_lines(std::istream& in, const std::string& path) {
-  ServerConfigFile file;
-  file.path = path;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string key, value, extra;
-    if (!(fields >> key)) continue;  // blank / comment-only line
-    const analysis::SourceLoc loc{path, line_no, 1};
-    if (!(fields >> value) || (fields >> extra)) {
-      file.parse_report.error("server.bad-value",
-                              "expected exactly 'key value' on this line", key,
-                              loc);
-      continue;
-    }
-    switch (set_server_key(file.config, key, value)) {
-      case KeyStatus::kSet:
-        break;
-      case KeyStatus::kUnknownKey:
-        file.parse_report.warning("server.unknown-key",
-                                  "unknown ServerConfig key '" + key + "'",
-                                  key, loc);
-        break;
-      case KeyStatus::kBadValue:
-        file.parse_report.error(
-            "server.bad-value",
-            "cannot parse '" + value + "' as a value for '" + key + "'", key,
-            loc);
-        break;
-    }
-  }
-  return file;
 }
 
 }  // namespace
@@ -135,13 +73,15 @@ const char* server_flag_key(std::span<const ServerFlag> flags,
 ServerConfigFile parse_server_config_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open server config: " + path);
-  return parse_lines(in, path);
-}
-
-ServerConfigFile parse_server_config_text(const std::string& text,
-                                          const std::string& path) {
-  std::istringstream in(text);
-  return parse_lines(in, path);
+  ServerConfigFile file;
+  file.path = path;
+  analysis::read_key_values(
+      in, path, "server", "ServerConfig",
+      [&](const std::string& key, const std::string& value, std::string&) {
+        return set_server_key(file.config, key, value);
+      },
+      file.parse_report);
+  return file;
 }
 
 }  // namespace gaplan::serve

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
+#include "analysis/key_value.hpp"
 
 namespace gaplan::serve {
 
@@ -56,12 +57,6 @@ struct ServerConfig {
   /// overrides the path at startup). Empty disables the dumper.
   std::string metrics_dump_path;
   double metrics_dump_ms = 1000.0;
-
-  /// Throws std::invalid_argument on the first server_lint error.
-  void validate() const;
-
-  /// One-line summary for logs and bench headers.
-  std::string summary() const;
 };
 
 /// Result of reading a `.serve` file: the parsed config plus any parse-level
@@ -79,12 +74,8 @@ struct ServerConfigFile {
 /// Throws std::runtime_error only when the file cannot be read.
 ServerConfigFile parse_server_config_file(const std::string& path);
 
-/// Same, over in-memory text (tests).
-ServerConfigFile parse_server_config_text(const std::string& text,
-                                          const std::string& path = "<memory>");
-
 /// How set_server_key() took one `key value` pair.
-enum class KeyStatus { kSet, kUnknownKey, kBadValue };
+using KeyStatus = analysis::KeyStatus;
 
 /// Sets the `.serve` key `key` on `config` from its text `value`, with the
 /// file reader's rules: counts are unsigned decimal integers, milliseconds

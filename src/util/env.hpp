@@ -13,9 +13,6 @@ namespace gaplan::util {
 /// Reads an integer env var; returns `fallback` if unset or unparsable.
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Reads a double env var; returns `fallback` if unset or unparsable.
-double env_double(const char* name, double fallback);
-
 /// Reads a string env var; returns `fallback` if unset.
 std::string env_str(const char* name, const std::string& fallback);
 

@@ -50,7 +50,6 @@ inline constexpr int kRankCacheShard = 25;     ///< PlanCache::Shard::mu
 inline constexpr int kRankServeClients = 28;   ///< serve::TcpLineServer client list
 inline constexpr int kRankMetricsDumper = 30;  ///< obs::MetricsDumper::Impl::mu
 inline constexpr int kRankMetrics = 40;        ///< obs::MetricsRegistry::Impl::mu
-inline constexpr int kRankLog = 45;            ///< util::log_line's line mutex
 inline constexpr int kRankTrace = 50;          ///< obs trace journal sink
 
 /// One detected ordering violation. `held` is the lock already owned,

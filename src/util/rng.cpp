@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace gaplan::util {
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
@@ -20,23 +18,6 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::gaussian(double mean, double stddev) noexcept {
-  if (have_spare_) {
-    have_spare_ = false;
-    return mean + stddev * spare_;
-  }
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_ = v * factor;
-  have_spare_ = true;
-  return mean + stddev * u * factor;
 }
 
 }  // namespace gaplan::util

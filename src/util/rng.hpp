@@ -119,17 +119,12 @@ class Rng {
     return Rng(splitmix64(s));
   }
 
-  /// Gaussian via Marsaglia polar method (used by workload generators).
-  double gaussian(double mean = 0.0, double stddev = 1.0) noexcept;
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
   std::array<std::uint64_t, 4> state_{};
-  bool have_spare_ = false;
-  double spare_ = 0.0;
 };
 
 }  // namespace gaplan::util

@@ -23,33 +23,4 @@ void RunningStat::merge(const RunningStat& other) noexcept {
   n_ += other.n_;
 }
 
-double percentile_sorted(const std::vector<double>& sorted, double q) noexcept {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Summary summarize(std::vector<double> samples) {
-  Summary s;
-  s.n = samples.size();
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  RunningStat rs;
-  for (const double x : samples) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = samples.front();
-  s.max = samples.back();
-  s.median = percentile_sorted(samples, 0.5);
-  s.p25 = percentile_sorted(samples, 0.25);
-  s.p75 = percentile_sorted(samples, 0.75);
-  s.p95 = percentile_sorted(samples, 0.95);
-  return s;
-}
-
 }  // namespace gaplan::util

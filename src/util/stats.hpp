@@ -1,12 +1,10 @@
-// Streaming and batch descriptive statistics for the benchmark harnesses.
+// Streaming descriptive statistics for the benchmark harnesses.
 //
 // Every table in EXPERIMENTS.md reports means over replicated GA runs; Welford
-// accumulation keeps those numerically stable without storing samples, while
-// Summary offers median/min/max for the ablation benches.
+// accumulation keeps those numerically stable without storing samples.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace gaplan::util {
 
@@ -42,24 +40,5 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p25 = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;  ///< tail latency; the obs exporter reports p95s
-};
-
-/// Computes a five-number-style summary. The input is copied (sorted inside).
-Summary summarize(std::vector<double> samples);
-
-/// Linear-interpolated percentile of a *sorted* sample, q in [0, 1].
-double percentile_sorted(const std::vector<double>& sorted, double q) noexcept;
 
 }  // namespace gaplan::util

@@ -160,9 +160,4 @@ void ThreadPool::parallel_deal(std::size_t n,
   parallel_for(0, std::min(n, thread_count()), drain);
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace gaplan::util

@@ -134,7 +134,4 @@ class ThreadPool {
   bool stopping_ GAPLAN_GUARDED_BY(mutex_) = false;
 };
 
-/// Process-wide pool sized to hardware concurrency; created on first use.
-ThreadPool& global_pool();
-
 }  // namespace gaplan::util

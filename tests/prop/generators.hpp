@@ -54,9 +54,10 @@ inline Gen<ga::Genome> genome(std::size_t min_len, std::size_t max_len) {
 // ---------------------------------------------------------------------------
 // GaConfigs from the validated envelope
 
-/// A GaConfig that always passes GaConfig::validate(): the random sweep
-/// envelope of tests/test_eval_soa.cpp widened with elite/seeding/selection
-/// knobs. Small budgets keep engine-level properties fast.
+/// A GaConfig that always lints clean (analysis::lint_config): the random
+/// sweep envelope of tests/test_eval_soa.cpp widened with
+/// elite/seeding/selection knobs. Small budgets keep engine-level properties
+/// fast.
 inline ga::GaConfig random_config(util::Rng& rng) {
   ga::GaConfig cfg;
   cfg.generations = 3 + rng.below(6);

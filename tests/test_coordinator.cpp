@@ -1,8 +1,14 @@
 // Coordination-service simulator: scheduling, disruptions, abort reporting.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "grid/coordinator.hpp"
 #include "grid/scenario.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -195,6 +201,31 @@ TEST(Coordinator, RecoveryRestoresMachine) {
                             {0.0, 1, Disruption::Kind::kRecovery, 0.0}});
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(f.pool.machine(1).up);
+}
+
+TEST(Coordinator, DisruptionsAreJournaledByKind) {
+  const std::string path = ::testing::TempDir() + "gaplan_disruptions.jsonl";
+  std::remove(path.c_str());
+  gaplan::obs::set_trace_path(path);
+  {
+    Fixture f;
+    const auto g = f.graph({f.op(0, 1)});
+    Coordinator c(f.problem, f.pool);
+    c.execute(g, f.problem.initial_state(),
+              {{0.0, 2, Disruption::Kind::kOverload, 2.0},
+               {0.0, 1, Disruption::Kind::kFailure, 0.0},
+               {0.0, 1, Disruption::Kind::kRecovery, 0.0}});
+  }
+  gaplan::obs::set_trace_path("");
+  std::ifstream in(path);
+  const std::string journal((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  for (const char* kind : {"overload", "failure", "recovery"}) {
+    EXPECT_NE(journal.find(std::string("\"kind\":\"") + kind + "\""),
+              std::string::npos)
+        << kind;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Coordinator, StartTimeOffsetsSchedule) {

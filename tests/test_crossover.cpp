@@ -31,6 +31,61 @@ void eval(const Hanoi& h, Ind& ind) {
   ind.eval = ga::decode_indirect(h, h.initial_state(), ind.genes, opt, scratch);
 }
 
+ga::GaConfig xover_config(
+    ga::CrossoverKind kind, std::size_t max_length,
+    ga::StateMatchKind match = ga::StateMatchKind::kValidOps) {
+  ga::GaConfig cfg;
+  cfg.crossover = kind;
+  cfg.max_length = max_length;
+  cfg.state_match = match;
+  return cfg;
+}
+
+/// One crossover of cfg's mechanism through the engine's lane API, tallied
+/// into `stats`. When the operator produces children they replace the
+/// parents (§3.4.2); otherwise both parents stay as they were.
+template <typename State>
+bool cross(const ga::GaConfig& cfg, ga::Individual<State>& a,
+           ga::Individual<State>& b, util::Rng& rng,
+           ga::CrossoverStats& stats) {
+  ga::CrossoverScratch scr;
+  // Every child fits in |a| + |b| genes, so only max_length truncates.
+  ga::Genome out1(a.genes.size() + b.genes.size()), out2(out1.size());
+  ga::GeneLane l1{out1.data(), out1.size(), 0};
+  ga::GeneLane l2{out2.data(), out2.size(), 0};
+  std::size_t dirty_a = 0, dirty_b = 0;
+  if (!ga::crossover_lanes_into(
+          cfg, a.genes, ga::detail::match_keys(a.eval, cfg.state_match),
+          b.genes, ga::detail::match_keys(b.eval, cfg.state_match), rng, stats,
+          scr, l1, l2, dirty_a, dirty_b)) {
+    return false;
+  }
+  out1.resize(l1.size);
+  out2.resize(l2.size);
+  a.genes = std::move(out1);
+  b.genes = std::move(out2);
+  return true;
+}
+
+template <typename State>
+bool cross(const ga::GaConfig& cfg, ga::Individual<State>& a,
+           ga::Individual<State>& b, util::Rng& rng) {
+  ga::CrossoverStats stats;
+  return cross(cfg, a, b, rng, stats);
+}
+
+bool random_cross(Ind& a, Ind& b, std::size_t max_length, util::Rng& rng) {
+  return cross(xover_config(ga::CrossoverKind::kRandom, max_length), a, b, rng);
+}
+
+template <typename State>
+bool state_aware_cross(ga::Individual<State>& a, ga::Individual<State>& b,
+                       std::size_t max_length, ga::StateMatchKind match,
+                       util::Rng& rng) {
+  return cross(xover_config(ga::CrossoverKind::kStateAware, max_length, match),
+               a, b, rng);
+}
+
 TEST(RandomCrossover, PreservesTotalGeneCount) {
   util::Rng rng(1);
   for (int trial = 0; trial < 200; ++trial) {
@@ -38,7 +93,7 @@ TEST(RandomCrossover, PreservesTotalGeneCount) {
     a.genes = random_genome(2 + rng.below(30), rng);
     b.genes = random_genome(2 + rng.below(30), rng);
     const std::size_t total = a.genes.size() + b.genes.size();
-    ASSERT_TRUE(ga::crossover_random(a, b, /*max_length=*/1000, rng));
+    ASSERT_TRUE(random_cross(a, b, /*max_length=*/1000, rng));
     EXPECT_EQ(a.genes.size() + b.genes.size(), total);
     EXPECT_GE(a.genes.size(), 1u);
     EXPECT_GE(b.genes.size(), 1u);
@@ -54,7 +109,7 @@ TEST(RandomCrossover, ChildrenAreSplices) {
     Ind a, b;
     a.genes = {0.1, 0.2, 0.3, 0.4};
     b.genes = {0.5, 0.6, 0.7, 0.8};
-    ASSERT_TRUE(ga::crossover_random(a, b, 100, rng));
+    ASSERT_TRUE(random_cross(a, b, 100, rng));
     for (const auto* child : {&a, &b}) {
       bool seen_other_parent = false;
       const bool starts_low = child->genes.front() < 0.45;
@@ -77,7 +132,7 @@ TEST(RandomCrossover, NeverProducesEmptyChildren) {
     Ind a, b;
     a.genes = {0.5};
     b.genes = {0.1, 0.2, 0.3};
-    if (ga::crossover_random(a, b, 100, rng)) {
+    if (random_cross(a, b, 100, rng)) {
       EXPECT_GE(a.genes.size(), 1u);
       EXPECT_GE(b.genes.size(), 1u);
       EXPECT_EQ(a.genes.size() + b.genes.size(), 4u);
@@ -90,7 +145,7 @@ TEST(RandomCrossover, RefusesEmptyParents) {
   Ind a, b;
   b.genes = {0.1, 0.2, 0.3};
   const auto b_copy = b.genes;
-  EXPECT_FALSE(ga::crossover_random(a, b, 100, rng));
+  EXPECT_FALSE(random_cross(a, b, 100, rng));
   EXPECT_EQ(b.genes, b_copy);
 }
 
@@ -103,7 +158,7 @@ TEST(RandomCrossover, LengthsCanGrowPastParents) {
     Ind a, b;
     a.genes = random_genome(10, rng);
     b.genes = random_genome(10, rng);
-    if (ga::crossover_random(a, b, 100, rng)) {
+    if (random_cross(a, b, 100, rng)) {
       grew = a.genes.size() > 10 || b.genes.size() > 10;
     }
   }
@@ -116,7 +171,7 @@ TEST(RandomCrossover, EnforcesMaxLen) {
     Ind a, b;
     a.genes = random_genome(50, rng);
     b.genes = random_genome(50, rng);
-    ga::crossover_random(a, b, 60, rng);
+    random_cross(a, b, 60, rng);
     EXPECT_LE(a.genes.size(), 60u);
     EXPECT_LE(b.genes.size(), 60u);
   }
@@ -127,12 +182,11 @@ TEST(StateAwareCrossover, RequiresEvaluatedParents) {
   Ind a, b;
   a.genes = random_genome(10, rng);
   b.genes = random_genome(10, rng);
-  std::vector<std::size_t> buf;
   // No evaluation → no trajectory hashes → no crossover.
-  EXPECT_FALSE(ga::crossover_state_aware(a, b, 100,
-                                         ga::StateMatchKind::kExactState, rng, buf));
-  EXPECT_FALSE(ga::crossover_state_aware(a, b, 100,
-                                         ga::StateMatchKind::kValidOps, rng, buf));
+  EXPECT_FALSE(state_aware_cross(a, b, 100,
+                                         ga::StateMatchKind::kExactState, rng));
+  EXPECT_FALSE(state_aware_cross(a, b, 100,
+                                         ga::StateMatchKind::kValidOps, rng));
 }
 
 TEST(StateAwareCrossover, IdenticalParentsAlwaysMatch) {
@@ -142,9 +196,8 @@ TEST(StateAwareCrossover, IdenticalParentsAlwaysMatch) {
   a.genes = random_genome(12, rng);
   eval(h, a);
   Ind b = a;
-  std::vector<std::size_t> buf;
-  EXPECT_TRUE(ga::crossover_state_aware(a, b, 100,
-                                        ga::StateMatchKind::kExactState, rng, buf));
+  EXPECT_TRUE(state_aware_cross(a, b, 100,
+                                        ga::StateMatchKind::kExactState, rng));
 }
 
 TEST(StateAwareCrossover, DonatedSuffixDecodesIdentically) {
@@ -161,9 +214,8 @@ TEST(StateAwareCrossover, DonatedSuffixDecodesIdentically) {
     eval(h, a);
     eval(h, b);
     const Ind old_a = a, old_b = b;
-    std::vector<std::size_t> buf;
-    if (!ga::crossover_state_aware(a, b, 1000, ga::StateMatchKind::kExactState,
-                                   rng, buf)) {
+      if (!state_aware_cross(a, b, 1000, ga::StateMatchKind::kExactState,
+                                   rng)) {
       continue;
     }
     ++performed;
@@ -200,14 +252,13 @@ TEST(MixedCrossover, FallsBackToRandom) {
   cfg.state_match = ga::StateMatchKind::kExactState;
   cfg.max_length = 100;
   ga::CrossoverStats stats;
-  std::vector<std::size_t> buf;
   for (int trial = 0; trial < 100; ++trial) {
     Ind a, b;
     a.genes = random_genome(15, rng);
     b.genes = random_genome(15, rng);
     eval(h, a);
     eval(h, b);
-    ga::crossover_pair(cfg, a, b, rng, stats, buf);
+    cross(cfg, a, b, rng, stats);
   }
   EXPECT_EQ(stats.pairs, 100u);
   EXPECT_EQ(stats.state_aware_done + stats.random_done + stats.too_short, 100u);
@@ -221,7 +272,6 @@ TEST(StateAwareCrossover, ValidOpsMatchingFindsFarMoreMatches) {
   const gaplan::domains::SlidingTile p(3);
   util::Rng inst_rng(41), rng(42);
   std::size_t valid_ops_hits = 0, exact_hits = 0;
-  std::vector<std::size_t> buf;
   std::vector<int> scratch;
   ga::DecodeOptions opt;
   opt.truncate_at_goal = false;
@@ -233,10 +283,10 @@ TEST(StateAwareCrossover, ValidOpsMatchingFindsFarMoreMatches) {
     a.eval = ga::decode_indirect(p, start, a.genes, opt, scratch);
     b.eval = ga::decode_indirect(p, start, b.genes, opt, scratch);
     auto a2 = a, b2 = b;
-    valid_ops_hits += ga::crossover_state_aware(
-        a, b, 1000, ga::StateMatchKind::kValidOps, rng, buf);
-    exact_hits += ga::crossover_state_aware(
-        a2, b2, 1000, ga::StateMatchKind::kExactState, rng, buf);
+    valid_ops_hits += state_aware_cross(
+        a, b, 1000, ga::StateMatchKind::kValidOps, rng);
+    exact_hits += state_aware_cross(
+        a2, b2, 1000, ga::StateMatchKind::kExactState, rng);
   }
   EXPECT_GT(valid_ops_hits, 150u);
   EXPECT_GT(valid_ops_hits, 2 * exact_hits);
@@ -249,7 +299,6 @@ TEST(StateAwareCrossover, ValidOpsMatchPreservesCutPointMapping) {
   const gaplan::domains::SlidingTile p(3);
   util::Rng inst_rng(43), rng(44);
   const auto start = p.random_solvable(inst_rng);
-  std::vector<std::size_t> buf;
   std::vector<int> scratch;
   ga::DecodeOptions opt;
   opt.truncate_at_goal = false;
@@ -261,8 +310,8 @@ TEST(StateAwareCrossover, ValidOpsMatchPreservesCutPointMapping) {
     a.eval = ga::decode_indirect(p, start, a.genes, opt, scratch);
     b.eval = ga::decode_indirect(p, start, b.genes, opt, scratch);
     const auto old_a = a, old_b = b;
-    if (!ga::crossover_state_aware(a, b, 1000, ga::StateMatchKind::kValidOps,
-                                   rng, buf)) {
+    if (!state_aware_cross(a, b, 1000, ga::StateMatchKind::kValidOps,
+                                   rng)) {
       continue;
     }
     std::size_t c1 = 0;
@@ -287,7 +336,6 @@ TEST(CrossoverPair, StateAwareNoMatchKeepsParents) {
   cfg.crossover = ga::CrossoverKind::kStateAware;
   cfg.state_match = ga::StateMatchKind::kExactState;
   ga::CrossoverStats stats;
-  std::vector<std::size_t> buf;
   // Construct parents whose interior states cannot match: different parity
   // walks. Simplest robust check: whenever no_match is reported, parents are
   // untouched.
@@ -299,7 +347,7 @@ TEST(CrossoverPair, StateAwareNoMatchKeepsParents) {
     eval(h, b);
     const auto ga_copy = a.genes, gb_copy = b.genes;
     const auto before = stats.no_match;
-    ga::crossover_pair(cfg, a, b, rng, stats, buf);
+    cross(cfg, a, b, rng, stats);
     if (stats.no_match > before) {
       EXPECT_EQ(a.genes, ga_copy);
       EXPECT_EQ(b.genes, gb_copy);
@@ -312,7 +360,10 @@ TEST(UniformCrossover, OnlySwapsAlignedGenes) {
   Ind a, b;
   a.genes = {0.1, 0.2, 0.3, 0.4, 0.45};
   b.genes = {0.6, 0.7, 0.8};
-  ASSERT_TRUE(ga::crossover_uniform(a, b, rng));
+  ga::CrossoverStats stats;
+  ASSERT_TRUE(cross(xover_config(ga::CrossoverKind::kUniform, 100), a, b, rng,
+                    stats));
+  EXPECT_EQ(stats.uniform_done, 1u);
   EXPECT_EQ(a.genes.size(), 5u);
   EXPECT_EQ(b.genes.size(), 3u);
   // Each aligned slot holds one low and one high marker.
@@ -330,15 +381,19 @@ TEST(Mutation, RateZeroChangesNothing) {
   util::Rng rng(11);
   ga::Genome g = random_genome(50, rng);
   const auto copy = g;
-  EXPECT_EQ(ga::mutate(g, 0.0, rng), 0u);
+  std::size_t first = ga::kCleanGenome;
+  EXPECT_EQ(ga::mutate_tracked(g, 0.0, rng, first), 0u);
   EXPECT_EQ(g, copy);
+  EXPECT_EQ(first, ga::kCleanGenome);
 }
 
 TEST(Mutation, RateOneReplacesEverything) {
   util::Rng rng(12);
   ga::Genome g = random_genome(50, rng);
   const auto copy = g;
-  EXPECT_EQ(ga::mutate(g, 1.0, rng), 50u);
+  std::size_t first = ga::kCleanGenome;
+  EXPECT_EQ(ga::mutate_tracked(g, 1.0, rng, first), 50u);
+  EXPECT_EQ(first, 0u);
   int unchanged = 0;
   for (std::size_t i = 0; i < g.size(); ++i) unchanged += (g[i] == copy[i]);
   EXPECT_EQ(unchanged, 0);
@@ -350,7 +405,8 @@ TEST(Mutation, RateMatchesExpectedFraction) {
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
     ga::Genome g = random_genome(100, rng);
-    mutated += ga::mutate(g, 0.01, rng);
+    std::size_t first = ga::kCleanGenome;
+    mutated += ga::mutate_tracked(g, 0.01, rng, first);
   }
   // E[mutated] = 200 * 100 * 0.01 = 200.
   EXPECT_NEAR(static_cast<double>(mutated), 200.0, 60.0);
@@ -359,7 +415,8 @@ TEST(Mutation, RateMatchesExpectedFraction) {
 TEST(Mutation, NewGenesStayInUnitInterval) {
   util::Rng rng(14);
   ga::Genome g = random_genome(1000, rng);
-  ga::mutate(g, 1.0, rng);
+  std::size_t first = ga::kCleanGenome;
+  ga::mutate_tracked(g, 1.0, rng, first);
   for (const double x : g) {
     ASSERT_GE(x, 0.0);
     ASSERT_LT(x, 1.0);

@@ -254,6 +254,7 @@ TEST(DistLint, FileFixtures) {
       {"dup_backend.dist", "dist.duplicate-backend", true},
       {"bad_heartbeat.dist", "dist.bad-heartbeat-interval", true},
       {"bad_weight.dist", "dist.weight-nonpositive", true},
+      {"ring_too_large.dist", "dist.ring-too-large", true},
   };
   for (const auto& c : kCases) {
     const auto file = dist::parse_router_config_file(fixture(c.file));

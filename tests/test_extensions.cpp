@@ -1,6 +1,7 @@
 // GA extensions beyond the paper: elitism and greedy population seeding.
 #include <gtest/gtest.h>
 
+#include "analysis/config_lint.hpp"
 #include "core/engine.hpp"
 #include "core/multiphase.hpp"
 #include "domains/hanoi.hpp"
@@ -16,9 +17,9 @@ TEST(Elitism, ConfigValidation) {
   ga::GaConfig cfg;
   cfg.population_size = 10;
   cfg.elite_count = 10;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg.elite_count = 9;
-  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NO_THROW(analysis::enforce_config(cfg, "test"));
 }
 
 TEST(Elitism, BestFitnessNeverDecreasesAcrossGenerations) {
@@ -70,10 +71,10 @@ TEST(Elitism, WithoutItBestFitnessCanDrop) {
 TEST(Seeding, ConfigValidation) {
   ga::GaConfig cfg;
   cfg.seed_fraction = 1.5;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg.seed_fraction = 0.5;
   cfg.seed_greediness = -0.1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
 }
 
 TEST(Seeding, RaisesInitialMeanFitness) {

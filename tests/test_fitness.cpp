@@ -1,6 +1,7 @@
 // Fitness scoring (Eqs. 1-4) and the GaConfig validation surface.
 #include <gtest/gtest.h>
 
+#include "analysis/config_lint.hpp"
 #include "core/fitness.hpp"
 #include "domains/hanoi.hpp"
 #include "util/rng.hpp"
@@ -94,36 +95,36 @@ TEST(Evaluate, FitnessMonotoneInGoalProgress) {
 
 TEST(GaConfig, ValidateAcceptsPaperSettings) {
   ga::GaConfig cfg;  // defaults are the paper's Table 1/3 settings
-  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NO_THROW(analysis::enforce_config(cfg, "test"));
 }
 
 TEST(GaConfig, ValidateRejectsBadValues) {
   ga::GaConfig cfg;
   cfg.population_size = 1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.population_size = 31;  // odd
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.crossover_rate = 1.5;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.mutation_rate = -0.1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.max_length = 1;
   cfg.initial_length = 10;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.goal_weight = 0.0;
   cfg.cost_weight = 0.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.tournament_size = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
   cfg = {};
   cfg.phases = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(analysis::enforce_config(cfg, "test"), std::invalid_argument);
 }
 
 TEST(GaConfig, SummaryMentionsKeyKnobs) {

@@ -339,6 +339,20 @@ TEST(Metrics, JsonExportRendersNonFiniteAsNull) {
   EXPECT_EQ(entry.find("inf,"), std::string::npos) << entry;
 }
 
+TEST(Metrics, JsonFileHoldsTheRegistry) {
+  const std::string path = ::testing::TempDir() + "gaplan_metrics.json";
+  std::remove(path.c_str());
+  obs::counter("test.json_file_counter").inc(3);
+  ASSERT_TRUE(obs::write_metrics_json(path));
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"test.json_file_counter\":3"), std::string::npos)
+      << text;
+  std::remove(path.c_str());
+  EXPECT_FALSE(obs::write_metrics_json("/nonexistent/dir/metrics.json"));
+}
+
 TEST(Metrics, DumperWritesFinalExpositionOnStop) {
   const std::string path = ::testing::TempDir() + "gaplan_metrics_dump.prom";
   std::remove(path.c_str());

@@ -138,7 +138,7 @@ TEST(UmbrellaHeader, ExposesEverything) {
   // Compile-time check, mostly: a few symbols from each sub-library.
   EXPECT_EQ(domains::Hanoi(3).disks(), 3);
   EXPECT_EQ(demo_pool().size(), 4u);
-  EXPECT_NO_THROW(ga::GaConfig{}.validate());
+  EXPECT_FALSE(ga::GaConfig{}.summary().empty());
   static_assert(ga::PlanningProblem<WorkflowProblem>);
 }
 

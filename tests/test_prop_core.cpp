@@ -337,16 +337,19 @@ TEST(PropCore, StateAwareCrossoverPreservesSuffixTrajectories) {
           util::Rng rng(c.cut_seed);
           ga::CrossoverScratch scr;
           ga::CrossoverStats stats;
-          Genome child1 = c.a, child2 = c.b;
           std::size_t c1 = ga::kCleanGenome, c2 = ga::kCleanGenome;
           const std::size_t cap = c.a.size() + c.b.size();
+          Genome child1(cap), child2(cap);
+          ga::GeneLane l1{child1.data(), cap, 0}, l2{child2.data(), cap, 0};
           ga::GaConfig cfg;
           cfg.crossover = ga::CrossoverKind::kStateAware;
           cfg.max_length = cap;
-          const bool done = ga::crossover_genomes(
-              cfg, child1, ev_a.state_hashes, child2, ev_b.state_hashes, rng,
-              stats, scr, c1, c2);
+          const bool done = ga::crossover_lanes_into(
+              cfg, c.a, ev_a.state_hashes, c.b, ev_b.state_hashes, rng, stats,
+              scr, l1, l2, c1, c2);
           if (!done) return;  // no matching states: vacuously true
+          child1.resize(l1.size);
+          child2.resize(l2.size);
 
           ASSERT_EQ(child1.size(),
                     std::min(cap, c1 + (c.b.size() - c2)));
@@ -375,8 +378,7 @@ TEST(PropCore, StateAwareCrossoverPreservesSuffixTrajectories) {
 
 // ---------------------------------------------------------------------------
 // Invariant: the validated envelope lints clean — every config the generator
-// draws passes validate() and produces zero lint errors ("clean corpus stays
-// clean").
+// draws produces zero lint errors ("clean corpus stays clean").
 // ---------------------------------------------------------------------------
 
 TEST(PropCore, ValidatedEnvelopeLintsClean) {
@@ -387,7 +389,6 @@ TEST(PropCore, ValidatedEnvelopeLintsClean) {
   prop::check(
       "clean_corpus_stays_clean", g,
       [](const ga::GaConfig& cfg) {
-        EXPECT_NO_THROW(cfg.validate()) << cfg.summary();
         const auto report = analysis::lint_config(cfg);
         EXPECT_FALSE(report.has_errors()) << cfg.summary();
       },
@@ -396,9 +397,8 @@ TEST(PropCore, ValidatedEnvelopeLintsClean) {
 
 // ---------------------------------------------------------------------------
 // Invariant: non-finite config doubles never pass admission — NaN slips
-// through `x < lo || x > hi` range checks and +inf through `>= 0`, so both
-// validate() and the lint carry an explicit finiteness gate (the satellite
-// fix this property caught).
+// through `x < lo || x > hi` range checks and +inf through `>= 0`, so the
+// lint carries an explicit finiteness gate (the fix this property caught).
 // ---------------------------------------------------------------------------
 
 struct NonFiniteCase {
@@ -442,7 +442,8 @@ TEST(PropCore, NonFiniteConfigDoublesAreRejected) {
   prop::check(
       "non_finite_config_rejected", non_finite_case(),
       [](const NonFiniteCase& c) {
-        EXPECT_THROW(c.cfg.validate(), std::invalid_argument);
+        EXPECT_THROW(analysis::enforce_config(c.cfg, "test"),
+                     std::invalid_argument);
         const auto report = analysis::lint_config(c.cfg);
         EXPECT_TRUE(report.has_errors());
         bool found = false;

@@ -297,7 +297,7 @@ TEST(PropServer, FingerprintIsStableAndDiscriminating) {
 }
 
 TEST(PropServer, FingerprintHasherCanonicalizesNonFiniteDoubles) {
-  // Non-finite configs are rejected upstream (validate() + lint), but the
+  // Non-finite configs are rejected upstream (by the config lint), but the
   // hasher itself must still be total and canonical: every NaN bit pattern
   // digests identically, so a digest can never depend on which NaN a
   // computation produced.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/config_lint.hpp"
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
 #include "util/rng.hpp"
@@ -144,7 +145,7 @@ TEST(PropSubstrate, ConfigGeneratorShrinksTowardDefaults) {
   const auto candidates = prop::shrink_config(cfg);
   ASSERT_FALSE(candidates.empty());
   for (const auto& c : candidates) {
-    EXPECT_NO_THROW(c.validate()) << c.summary();
+    EXPECT_NO_THROW(analysis::enforce_config(c, "test")) << c.summary();
   }
   EXPECT_EQ(candidates.front().crossover, ga::CrossoverKind::kRandom);
 }

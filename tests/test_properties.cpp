@@ -224,12 +224,22 @@ TEST_P(CrossoverGeneConservation, MultisetPreserved) {
   before.insert(before.end(), b.genes.begin(), b.genes.end());
   std::sort(before.begin(), before.end());
 
-  if (!ga::crossover_random(a, b, /*max_length=*/10000, rng)) {
+  ga::GaConfig cfg;
+  cfg.crossover = ga::CrossoverKind::kRandom;
+  cfg.max_length = 10000;
+  ga::CrossoverStats stats;
+  ga::CrossoverScratch scr;
+  ga::Genome out1(cfg.max_length), out2(cfg.max_length);
+  ga::GeneLane l1{out1.data(), out1.size(), 0};
+  ga::GeneLane l2{out2.data(), out2.size(), 0};
+  std::size_t dirty_a = 0, dirty_b = 0;
+  if (!ga::crossover_lanes_into(cfg, a.genes, {}, b.genes, {}, rng, stats, scr,
+                                l1, l2, dirty_a, dirty_b)) {
     GTEST_SKIP() << "parents too short to cross";
   }
   std::vector<double> after;
-  after.insert(after.end(), a.genes.begin(), a.genes.end());
-  after.insert(after.end(), b.genes.begin(), b.genes.end());
+  after.insert(after.end(), out1.begin(), out1.begin() + l1.size);
+  after.insert(after.end(), out2.begin(), out2.begin() + l2.size);
   std::sort(after.begin(), after.end());
   EXPECT_EQ(before, after);
 }

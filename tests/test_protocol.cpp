@@ -1,11 +1,14 @@
 // The NDJSON protocol core (server/protocol.hpp), the worker's distribution
-// verbs (dist/worker_verbs.hpp) and the shared TCP line server
-// (server/line_server.hpp), driven in-process.
+// verbs (dist/worker_verbs.hpp), the shared TCP line server
+// (server/line_server.hpp), worker gossip (dist/gossip.hpp) and the router's
+// backend table (dist/router.hpp), driven in-process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <latch>
 #include <set>
 #include <string>
@@ -14,9 +17,12 @@
 
 #include "core/island.hpp"
 #include "dist/cache_wire.hpp"
+#include "dist/gossip.hpp"
 #include "dist/net.hpp"
+#include "dist/router.hpp"
 #include "dist/worker_verbs.hpp"
 #include "domains/hanoi.hpp"
+#include "obs/trace.hpp"
 #include "server/line_server.hpp"
 #include "server/plan_service.hpp"
 #include "server/problem_spec.hpp"
@@ -337,6 +343,46 @@ TEST(ProtocolWorker, ShardRunMatchesRunIslands) {
   EXPECT_EQ(*out.get_array("plan"), want);
 }
 
+/// A shard started with the caller's trace id journals its islands' spans
+/// under that trace, so a routed island run is one span tree.
+TEST(ProtocolWorker, TracedShardJoinsTheCallersTrace) {
+  const std::string path = ::testing::TempDir() + "gaplan_shard_trace.jsonl";
+  std::remove(path.c_str());
+  obs::set_trace_path(path);
+  {
+    Session w(/*worker=*/true);
+    serve::PlanRequest req;
+    std::string err;
+    req.problem = *serve::ProblemSpec::parse("hanoi:3", err);
+    req.config.population_size = 20;
+    req.config.generations = 5;
+    req.config.phases = 1;
+    req.seed = 5;
+    req.trace = 4242;
+    WireMessage ishard;
+    ASSERT_TRUE(serve::parse_wire_message(serve::render_submit_line(req),
+                                          ishard, err));
+    ishard.strings["cmd"] = "ishard";
+    ishard.strings["shard"] = "t1";
+    ishard.numbers["islands"] = 2;
+    ishard.numbers["interval"] = 100;  // past the run: no migration boundary
+    ishard.numbers["migrants"] = 1;
+    ishard.numbers["begin"] = 0;
+    ishard.numbers["end"] = 2;
+    ASSERT_TRUE(ok(w.call(serve::render_wire_message(ishard))));
+    const WireMessage step = w.call(R"({"cmd":"istep","shard":"t1"})");
+    ASSERT_TRUE(ok(step));
+    EXPECT_FALSE(step.get_bool("boundary").value_or(true));
+    ASSERT_TRUE(ok(w.call(R"({"cmd":"ifinish","shard":"t1"})")));
+  }
+  obs::set_trace_path("");
+  std::ifstream in(path);
+  const std::string journal((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(journal.find("\"trace\":4242"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(ProtocolWorker, ShardVerbsNeedAToken) {
   Session w(/*worker=*/true);
   for (const std::string cmd :
@@ -500,6 +546,120 @@ TEST(LineServer, JoinsConnectionThreadsAsTheyExit) {
       << "VmSize grew from " << vm_before_kb << " kB to " << vm_after_kb
       << " kB";
   server.stop();
+}
+
+/// A worker front end over TCP: a Session's protocol (serve verbs plus the
+/// dist verbs) behind a TcpLineServer on an ephemeral port.
+struct TcpWorker {
+  TcpWorker()
+      : server([this](const std::string& line, bool& close_after) {
+          return session.raw(line, close_after);
+        }) {
+    EXPECT_TRUE(server.start(0));
+  }
+  dist::BackendSpec spec() const { return {"127.0.0.1", server.port(), 1.0}; }
+
+  Session session{/*worker=*/true};
+  serve::TcpLineServer server;
+};
+
+/// An address nothing listens on: a line server's port after it stopped.
+dist::BackendSpec dead_backend() {
+  serve::TcpLineServer server = echo_server();
+  EXPECT_TRUE(server.start(0));
+  const int port = server.port();
+  server.stop();
+  return {"127.0.0.1", port, 1.0};
+}
+
+serve::CachedPlan sample_plan() {
+  serve::CachedPlan plan;
+  plan.plan = {0, 2, 1};
+  plan.valid = true;
+  plan.plan_cost = 3.0;
+  plan.goal_fitness = 1.0;
+  plan.phases_run = 2;
+  plan.generations_total = 40;
+  return plan;
+}
+
+TEST(Gossip, PeerCacheReceivesThePutThenTheDel) {
+  TcpWorker peer;
+  const serve::Fingerprint fp{0x1111222233334444ULL, 0x5555666677778888ULL};
+  const auto hit = [&] {
+    return peer.session.call(dist::render_cache_probe(fp))
+        .get_bool("hit")
+        .value_or(false);
+  };
+  dist::GossipSender gossip({peer.spec()});
+  gossip.start();
+
+  gossip.enqueue(dist::render_cache_put(fp, sample_plan()));
+  gossip.flush();
+  EXPECT_TRUE(hit());
+  gossip.enqueue(dist::render_cache_del(fp));
+  gossip.flush();
+  EXPECT_FALSE(hit());
+
+  const auto stats = gossip.stats();
+  EXPECT_EQ(stats.peers, 1u);
+  EXPECT_EQ(stats.enqueued, 2u);
+  EXPECT_EQ(stats.sent, 2u);
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(stats.dropped, 0u);
+  gossip.stop();
+}
+
+/// enqueue only queues: with the sender not yet running it returns at once,
+/// drops the oldest frames past the bound, and once the sender runs, every
+/// frame against a dead peer is a counted failure, never a delivery.
+TEST(Gossip, DeadPeerCountsFailuresWithoutBlockingEnqueue) {
+  const serve::Fingerprint fp{1, 2};
+  dist::GossipSender gossip({dead_backend()});
+  const std::size_t extra = 10;
+  for (std::size_t i = 0; i < dist::kMaxGossipQueue + extra; ++i) {
+    gossip.enqueue(dist::render_cache_del(fp));
+  }
+  auto stats = gossip.stats();
+  EXPECT_EQ(stats.enqueued, dist::kMaxGossipQueue + extra);
+  EXPECT_EQ(stats.dropped, extra);
+  EXPECT_EQ(stats.sent + stats.failures, 0u);
+
+  gossip.start();
+  gossip.flush();
+  stats = gossip.stats();
+  EXPECT_EQ(stats.sent, 0u);
+  EXPECT_EQ(stats.failures, dist::kMaxGossipQueue);
+  gossip.stop();
+}
+
+TEST(RouterBackends, ReportsLiveAndDeadBackends) {
+  TcpWorker live;
+  const dist::BackendSpec dead = dead_backend();
+  dist::RouterConfig cfg;
+  cfg.backends = {live.spec(), dead};
+  dist::RouterService router(cfg);
+  router.start();
+
+  EXPECT_TRUE(router.pool().is_up(live.spec().id()));
+  EXPECT_FALSE(router.pool().is_up(dead.id()));
+  EXPECT_FALSE(router.pool().is_up("127.0.0.1:0"));  // not a backend
+
+  bool close_after = false;
+  const WireMessage msg =
+      Session::parse(router.handle_line(R"({"cmd":"backends"})", close_after));
+  ASSERT_TRUE(ok(msg));
+  EXPECT_FALSE(close_after);
+  EXPECT_EQ(msg.get_number("count").value_or(-1.0), 2.0);
+  const std::string* first = msg.get_string("backend_0");
+  const std::string* second = msg.get_string("backend_1");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->rfind(live.spec().id() + " up weight=", 0), 0u) << *first;
+  EXPECT_EQ(second->rfind(dead.id() + " down weight=", 0), 0u) << *second;
+  EXPECT_NE(second->find(" backoff_ms="), std::string::npos) << *second;
+  EXPECT_EQ(first->find("backoff_ms"), std::string::npos) << *first;
+  router.stop();
 }
 
 #endif  // GAPLAN_TCP

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <vector>
 
@@ -178,21 +177,6 @@ TEST(Rng, SplitIsDeterministic) {
   Rng a(59), b(59);
   Rng ca = a.split(), cb = b.split();
   for (int i = 0; i < 100; ++i) EXPECT_EQ(ca(), cb());
-}
-
-TEST(Rng, GaussianMoments) {
-  Rng rng(61);
-  double sum = 0, sum2 = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.gaussian(2.0, 3.0);
-    sum += x;
-    sum2 += x * x;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.05);
-  EXPECT_NEAR(var, 9.0, 0.2);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {

@@ -7,8 +7,6 @@
 namespace {
 
 using gaplan::util::RunningStat;
-using gaplan::util::summarize;
-using gaplan::util::percentile_sorted;
 
 TEST(RunningStat, EmptyIsZero) {
   RunningStat s;
@@ -109,50 +107,6 @@ TEST(RunningStat, MergeChainMatchesSequentialMinMax) {
   EXPECT_EQ(merged.min(), whole.min());
   EXPECT_EQ(merged.max(), whole.max());
   EXPECT_NEAR(merged.variance(), whole.variance(), 1e-9);
-}
-
-TEST(Percentile, EdgesAndInterpolation) {
-  const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(percentile_sorted(sorted, 0.0), 1.0);
-  EXPECT_EQ(percentile_sorted(sorted, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 1.0 / 3.0), 2.0);
-}
-
-TEST(Percentile, DegenerateInputs) {
-  EXPECT_EQ(percentile_sorted({}, 0.5), 0.0);
-  EXPECT_EQ(percentile_sorted({7.0}, 0.99), 7.0);
-  // Out-of-range q is clamped.
-  EXPECT_EQ(percentile_sorted({1.0, 2.0}, -1.0), 1.0);
-  EXPECT_EQ(percentile_sorted({1.0, 2.0}, 2.0), 2.0);
-}
-
-TEST(Summarize, FiveNumberSummary) {
-  const auto s = summarize({5.0, 1.0, 3.0, 2.0, 4.0});
-  EXPECT_EQ(s.n, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_EQ(s.min, 1.0);
-  EXPECT_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.p25, 2.0);
-  EXPECT_DOUBLE_EQ(s.p75, 4.0);
-}
-
-TEST(Summarize, Empty) {
-  const auto s = summarize({});
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.p95, 0.0);
-}
-
-TEST(Summarize, P95) {
-  std::vector<double> samples;
-  for (int i = 1; i <= 100; ++i) samples.push_back(static_cast<double>(i));
-  const auto s = summarize(samples);
-  // percentile_sorted interpolates over n-1 intervals: 0.95 * 99 = 94.05
-  // → between the 95th and 96th samples.
-  EXPECT_NEAR(s.p95, 95.05, 1e-9);
-  EXPECT_EQ(summarize({7.0}).p95, 7.0);
 }
 
 }  // namespace

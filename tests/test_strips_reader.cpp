@@ -120,6 +120,23 @@ TEST(Reader, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Reader, FileErrorNamesTheFileAndKeepsTheLine) {
+  const std::string path = ::testing::TempDir() + "/gaplan_bad_domain.strips";
+  {
+    std::ofstream out(path);
+    out << "(domain d\n  (mystery))\n";
+  }
+  try {
+    parse_strips_file(path);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(path + ": ", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    EXPECT_EQ(e.line(), 2u);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Reader, MissingFileThrows) {
   EXPECT_THROW(parse_strips_file("/nonexistent/definitely_missing.strips"),
                std::runtime_error);
