@@ -1,12 +1,13 @@
-// Evaluation-throughput bench: A/B/C of the batched SIMD-kernel decode (soa)
-// and the per-slot incremental decode against a forced-cold configuration on
+// Evaluation-throughput bench: A/B/C of the evaluation pass over the SIMD
+// kernel's LUT (soa) and the incremental pass over valid_ops against a
+// forced-cold configuration on
 // the paper's hardest workload (7-disk Towers of Hanoi, multi-phase GA, pop
 // 200, Table 1 operator settings), plus cache sections on two kernel-less
 // cacheable domains: the hit rate on Sokoban, and the hit rate and evals/s
 // with and without the cache on the genomics grid workflow (the paper's
 // application, at workflow_cli's GA settings). cold and incremental run
 // Hanoi through WithoutKernel (without_kernel.hpp), which hides the kernel
-// so the same PhaseRunner decodes slot by slot.
+// so the same PhaseRunner's pass decodes over ProblemOps.
 //
 // All configs run the identical evolutionary trajectory (same seeds; the
 // incremental and kernel decodes are bit-identical to cold decode), so

@@ -1,11 +1,11 @@
-// Perf-regression gate for the batched SIMD-kernel decoder: a ~5 second
-// kernel-vs-per-slot smoke on the BENCH_eval.json workload shape (Hanoi-7,
-// pop 200, mixed crossover) that FAILS (exit 1) when the kernel decode does
-// not clear 1.5x the per-slot incremental decode (the same PhaseRunner over
-// WithoutKernel<Hanoi>, see without_kernel.hpp) in evaluations/second. The
-// gate's slack absorbs scheduler noise on a loaded CI box while still
-// catching a real regression (a fallback to the per-slot path, a kernel
-// pessimization, a lane-copy blowup).
+// Perf-regression gate for the SIMD-kernel decode: a ~5 second
+// LUT-vs-valid_ops smoke on the BENCH_eval.json workload shape (Hanoi-7,
+// pop 200, mixed crossover) that FAILS (exit 1) when the evaluation pass
+// over the kernel's LUT does not clear 1.5x the same pass over valid_ops
+// (the same PhaseRunner over WithoutKernel<Hanoi>, see without_kernel.hpp)
+// in evaluations/second. The gate's slack absorbs scheduler noise on a
+// loaded CI box while still catching a real regression (a fallback off the
+// LUT, a kernel pessimization, a lane-copy blowup).
 //
 // Registered as the `bench_eval_regression` ctest under CONFIGURATIONS perf
 // (label `perf`), so a plain tier-1 `ctest` never runs it:

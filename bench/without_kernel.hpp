@@ -1,9 +1,10 @@
-// Benchmark baseline for the batched kernel decode: WithoutKernel<P> forwards
-// a domain's planning API (including kCacheableOps and the direct-encoding
-// surface) but not its simd_kernel(), so ga::PhaseRunner over it takes the
-// per-slot decode path (evaluate_resume over lanes, with the valid-ops
-// transposition cache) on an identical GA trajectory. Comparing P against
-// WithoutKernel<P> isolates what the kernel decode buys.
+// Benchmark baseline for the kernel decode: WithoutKernel<P> forwards a
+// domain's planning API (including kCacheableOps and the direct-encoding
+// surface) but not its simd_kernel(), so ga::PhaseRunner's evaluation pass
+// over it decodes over ProblemOps (valid_ops through the valid-ops
+// transposition cache) instead of the kernel's LutOps, on an identical GA
+// trajectory. Comparing P against WithoutKernel<P> isolates what the LUT and
+// the vector step buy inside one pass.
 #pragma once
 
 #include <cstddef>

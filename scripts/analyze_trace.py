@@ -6,11 +6,16 @@ request is one trace rooted at its "server" complete span, with queue_wait /
 cache_probe / slice children and phase/generation spans beneath the slices —
 and reports where each request's wall-clock went:
 
+  admit     config tuning, lint and fingerprint before the first cache
+            probe (admit span)
   queue     admission wait (queue_wait segment 0)
   preempt   yield-preemption waits (queue_wait segments >= 1)
+  setup     building the request's planning job (job_setup span)
   ga        worker slices actually planning (slice spans)
+  publish   result, cache insert and cache listener after the last slice
+            (publish span)
   cache     cache probe latency (cache_probe spans)
-  other     unattributed remainder (lock waits, job setup, wire overhead)
+  other     unattributed remainder (lock waits, bookkeeping)
 
 Standalone GA journals (run_multiphase, the replanner) are summarized too:
 every parentless run/replan/grid_execute/islands span becomes a "runs" entry
@@ -149,11 +154,18 @@ def analyze_request(tree, complete):
     slices = tree.kids(trace, root, "slice")
     probes = tree.kids(trace, root, "cache_probe")
 
+    def span_ms(name):
+        return sum(e.get("dur_ms", 0.0) for e in tree.kids(trace, root, name))
+
     queue_ms = sum(w.get("dur_ms", 0.0) for w in waits if w.get("seg", 0) == 0)
     preempt_ms = sum(w.get("dur_ms", 0.0) for w in waits if w.get("seg", 0) > 0)
     ga_ms = sum(s.get("dur_ms", 0.0) for s in slices)
     cache_ms = sum(p.get("dur_ms", 0.0) for p in probes)
-    accounted = queue_ms + preempt_ms + ga_ms + cache_ms
+    admit_ms = span_ms("admit")
+    setup_ms = span_ms("job_setup")
+    publish_ms = span_ms("publish")
+    accounted = (admit_ms + queue_ms + preempt_ms + setup_ms + ga_ms +
+                 publish_ms + cache_ms)
 
     req = {
         "req": complete.get("req"),
@@ -164,9 +176,12 @@ def analyze_request(tree, complete):
         "yields": complete.get("yields"),
         "total_ms": round(total, 3),
         "breakdown": {
+            "admit_ms": round(admit_ms, 3),
             "queue_ms": round(queue_ms, 3),
             "preempt_ms": round(preempt_ms, 3),
+            "setup_ms": round(setup_ms, 3),
             "ga_ms": round(ga_ms, 3),
+            "publish_ms": round(publish_ms, 3),
             "cache_ms": round(cache_ms, 3),
             "other_ms": round(total - accounted, 3),
         },
@@ -222,7 +237,8 @@ def analyze(path):
         "cached": sum(1 for r in requests if r["cached"]),
         "yields": sum(r["yields"] or 0 for r in requests),
     }
-    for key in ("queue_ms", "preempt_ms", "ga_ms", "cache_ms", "other_ms"):
+    for key in ("admit_ms", "queue_ms", "preempt_ms", "setup_ms", "ga_ms",
+                "publish_ms", "cache_ms", "other_ms"):
         agg[key] = round(sum(r["breakdown"][key] for r in requests), 3)
     agg["total_ms"] = round(sum(r["total_ms"] for r in requests), 3)
 
@@ -296,18 +312,22 @@ def render_text(report):
             f"{agg['total_ms']:.1f}ms total"
         )
         lines.append(
-            f"  breakdown: queue {agg['queue_ms']:.1f}ms | preempt "
-            f"{agg['preempt_ms']:.1f}ms | ga {agg['ga_ms']:.1f}ms | cache "
-            f"{agg['cache_ms']:.3f}ms | other {agg['other_ms']:.1f}ms"
+            f"  breakdown: admit {agg['admit_ms']:.3f}ms | queue "
+            f"{agg['queue_ms']:.1f}ms | preempt {agg['preempt_ms']:.1f}ms | "
+            f"setup {agg['setup_ms']:.3f}ms | ga {agg['ga_ms']:.1f}ms | "
+            f"publish {agg['publish_ms']:.3f}ms | cache "
+            f"{agg['cache_ms']:.3f}ms | other {agg['other_ms']:.3f}ms"
         )
     for r in report["requests"]:
         b = r["breakdown"]
         tag = " cached" if r["cached"] else ""
         lines.append(
             f"  req {r['req']:>3} {r['state']:>9}{tag}: {r['total_ms']:8.2f}ms"
-            f" = queue {b['queue_ms']:.2f} + preempt {b['preempt_ms']:.2f}"
-            f" + ga {b['ga_ms']:.2f} + cache {b['cache_ms']:.3f}"
-            f" + other {b['other_ms']:.2f}  ({len(r['phases'])} phases)"
+            f" = admit {b['admit_ms']:.3f} + queue {b['queue_ms']:.2f}"
+            f" + preempt {b['preempt_ms']:.2f} + setup {b['setup_ms']:.3f}"
+            f" + ga {b['ga_ms']:.2f} + publish {b['publish_ms']:.3f}"
+            f" + cache {b['cache_ms']:.3f} + other {b['other_ms']:.3f}"
+            f"  ({len(r['phases'])} phases)"
         )
     for run in report["runs"]:
         lines.append(

@@ -97,10 +97,10 @@ def check_eval_config(entry, where, errors):
         errors.append(f"{where}: seconds_stddev must be non-negative")
 
 
-# The batched kernel decode (soa) must beat the per-slot incremental decode of
-# the same runner (Hanoi behind bench/without_kernel.hpp) by at least this
-# factor on the recorded Hanoi-7 workload (the regression ctest uses the same
-# floor on a shorter run).
+# The evaluation pass over the kernel's LUT (soa) must beat the same pass over
+# ProblemOps (Hanoi behind bench/without_kernel.hpp, the same runner) by at
+# least this factor on the recorded Hanoi-7 workload (the regression ctest
+# uses the same floor on a shorter run).
 SOA_SPEEDUP_FLOOR = 1.5
 
 

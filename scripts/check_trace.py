@@ -33,7 +33,8 @@ import sys
 import tempfile
 
 SPAN_EVENTS = {"run", "phase", "replan", "grid_execute", "islands", "island",
-               "slice", "queue_wait", "cache_probe"}
+               "slice", "queue_wait", "cache_probe", "admit", "job_setup",
+               "publish"}
 
 # ts_ms prints with microsecond precision and dur_ms with 6 significant
 # digits, so parent/child bounds computed from independently rounded numbers

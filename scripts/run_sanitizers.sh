@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds and runs the test suite under the dynamic-analysis lanes, each in
 # its own build tree (build-asan/, build-ubsan/, build-tsan/,
-# build-thread-safety/) so the lanes never contaminate the regular build/
-# directory. All lanes use -fno-sanitize-recover semantics — any finding
+# build-thread-safety/, build-libstdcxx/) so the lanes never contaminate the
+# regular build/ directory. All lanes use -fno-sanitize-recover semantics — any finding
 # fails the lane — and every requested lane runs even when an earlier one
 # fails: the script prints a per-lane PASS/FAIL/SKIP table at the end and
 # exits nonzero if ANY lane failed, not just the last.
@@ -29,10 +29,14 @@
 #                  tree compiles under -Werror=thread-safety-analysis
 #                  against the util/sync.hpp capability annotations. Needs
 #                  clang++; SKIPs gracefully when it is not installed.
-#   all            ubsan + asan + thread_safety.
+#   libstdcxx_assertions
+#                  The whole suite built with -D_GLIBCXX_ASSERTIONS, so
+#                  libstdc++ bounds-checks every operator[], front/back and
+#                  span subscript and aborts on a violation.
+#   all            ubsan + asan + thread_safety + libstdcxx_assertions.
 #
-#   scripts/run_sanitizers.sh [asan|ubsan|tsan|prop|thread_safety|all]
-#                             (default: all)
+#   scripts/run_sanitizers.sh [asan|ubsan|tsan|prop|thread_safety|
+#                              libstdcxx_assertions|all]  (default: all)
 #
 # Extra ctest args can follow the lane name, e.g.:
 #   scripts/run_sanitizers.sh ubsan -R Replanner
@@ -51,12 +55,12 @@ record() {
   lane_results+=("$2")
 }
 
+# run_lane NAME DIR CMAKE_FLAG [ctest args...]
 run_lane() {
-  local name="$1" sanitize="$2"
-  shift 2
-  local dir="build-${name}"
+  local name="$1" dir="$2" flag="$3"
+  shift 3
   echo "=== ${name}: configure (${dir}) ==="
-  if ! cmake -B "${dir}" -S . -DGAPLAN_SANITIZE="${sanitize}" \
+  if ! cmake -B "${dir}" -S . "${flag}" \
              -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null; then
     record "${name}" FAIL
     return 1
@@ -112,20 +116,27 @@ run_thread_safety_lane() {
   record "${name}" PASS
 }
 
+asan=(asan build-asan -DGAPLAN_SANITIZE=address)
+ubsan=(ubsan build-ubsan -DGAPLAN_SANITIZE=undefined)
+libstdcxx=(libstdcxx_assertions build-libstdcxx
+           -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS)
+
 case "${lane}" in
-  asan)  run_lane asan address "$@" ;;
-  ubsan) run_lane ubsan undefined "$@" ;;
-  tsan)  run_lane tsan thread \
+  asan)  run_lane "${asan[@]}" "$@" ;;
+  ubsan) run_lane "${ubsan[@]}" "$@" ;;
+  tsan)  run_lane tsan build-tsan -DGAPLAN_SANITIZE=thread \
            -R 'PlanService|PlanCache|ThreadPool|Serve|Island|Soa|Prop|Dist|Protocol|LineServer|Gossip|RouterBackends|serve_smoke|trace_analyze_smoke|dist_smoke|cli_flags_smoke' \
            "$@" ;;
   prop)  GAPLAN_PROP_ITERS="${GAPLAN_PROP_ITERS:-20}" \
-           run_lane asan address -L prop "$@" ;;
+           run_lane "${asan[@]}" -L prop "$@" ;;
   thread_safety) run_thread_safety_lane ;;
-  all)   run_lane ubsan undefined "$@"
-         run_lane asan address "$@"
+  libstdcxx_assertions) run_lane "${libstdcxx[@]}" "$@" ;;
+  all)   run_lane "${ubsan[@]}" "$@"
+         run_lane "${asan[@]}" "$@"
          run_thread_safety_lane
+         run_lane "${libstdcxx[@]}" "$@"
          ;;
-  *) echo "usage: $0 [asan|ubsan|tsan|prop|thread_safety|all] [ctest args...]" >&2
+  *) echo "usage: $0 [asan|ubsan|tsan|prop|thread_safety|libstdcxx_assertions|all] [ctest args...]" >&2
      exit 2 ;;
 esac
 

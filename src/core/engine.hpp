@@ -14,10 +14,11 @@
 //  * children carry (parent index, first dirty gene) bookkeeping, so
 //    step_evaluate re-decodes only from the parent's checkpointed state
 //    nearest the first gene crossover/mutation actually changed;
-//  * domains with a SIMD kernel decode the whole population in one pass of
-//    sorted 8-lane groups (KernelBatchDecoder); the rest decode per slot
-//    through per-thread EvalContexts holding the valid-ops transposition
-//    cache for domains that opt in (CacheableOps).
+//  * every domain decodes the whole population in one pass of sorted
+//    8-lane groups (KernelBatchDecoder): over the LUT of a domain's SIMD
+//    kernel, else over the problem through per-thread EvalContexts holding
+//    the valid-ops transposition cache for domains that opt in
+//    (CacheableOps).
 // All of it is bit-identical to cold evaluation (GaConfig::incremental_eval
 // turns the reuse off; random draws are unaffected).
 #pragma once
@@ -27,7 +28,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/config_lint.hpp"
@@ -89,10 +89,6 @@ inline std::uint32_t dirty_index(std::size_t dirty, std::size_t len) noexcept {
   return d >= kEvalReady ? kEvalReady - 1 : static_cast<std::uint32_t>(d);
 }
 
-/// Placeholder for PhaseRunner's decoder slot on domains without a
-/// SIMD kernel (std::conditional_t needs a complete alternative type).
-struct NoKernelDecoder {};
-
 }  // namespace detail
 
 /// Builds a genome whose genes decode, with probability seed_greediness, to
@@ -148,18 +144,15 @@ Genome greedy_seed_genome(const P& problem, const GaConfig& cfg,
 ///
 /// The population lives in a double-buffered GenomePool (flat gene lanes +
 /// parallel metadata arrays); reproduction splices children between the
-/// pools with contiguous lane copies. The decode path is fixed at compile
-/// time: domains with a SIMD kernel (SimdDecodable) decode the indirect
-/// encoding in one population-wide KernelBatchDecoder pass; every other
-/// domain, and the direct encoding everywhere, decodes slot by slot over lane
-/// spans (evaluate_resume / evaluate_into). Both paths are bit-identical to a
-/// cold evaluate_into of each genome (tests/test_golden.cpp).
+/// pools with contiguous lane copies. Every domain decodes the indirect
+/// encoding in one population-wide KernelBatchDecoder pass (evaluate); only
+/// the direct encoding, an ablation, decodes slot by slot. Both are
+/// bit-identical to a cold evaluate_into of each genome
+/// (tests/test_golden.cpp).
 template <PlanningProblem P>
 class PhaseRunner {
  public:
   using State = typename P::StateT;
-  using KdecT = std::conditional_t<SimdDecodable<P>, KernelBatchDecoder<P>,
-                                   detail::NoKernelDecoder>;
 
   PhaseRunner(const P& problem, const GaConfig& cfg, util::ThreadPool* pool)
       : problem_(&problem), cfg_(&cfg), pool_(pool) {}
@@ -167,12 +160,9 @@ class PhaseRunner {
   /// Fresh population (§3.2) searching from `start`: random genomes, plus an
   /// optional greedily-seeded fraction (GaConfig::seed_fraction). Pool
   /// storage (gene lanes, Evaluation buffers) is recycled across phases — the
-  /// Engine keeps one PhaseRunner alive for the whole multi-phase run. Bumps
-  /// the global eval epoch so thread-local transposition caches filled for a
-  /// previous (possibly destroyed) problem can never serve this run.
+  /// Engine keeps one PhaseRunner alive for the whole multi-phase run.
   void init(const State& start, util::Rng& rng) {
     start_ = start;
-    epoch_ = next_eval_epoch();
     const std::size_t n = cfg_->population_size;
     const std::size_t stride = cfg_->max_length;
     cur_.reset(n, stride);
@@ -192,27 +182,14 @@ class PhaseRunner {
         cur_.set_len(i, cfg_->initial_length);
       }
     }
-    if constexpr (SimdDecodable<P>) {
-      // The signature table only depends on the kernel's LUT, so the decoder
-      // is cached across phases — but the decode options are derived from the
-      // config, and a persistent runner re-init()ed after its config changed
-      // (the Engine holds cfg_ by pointer; phase-varying scenarios mutate it
-      // between phases) must not keep decoding with options frozen at first
-      // init: stale truncate/hash/stride flags silently change trajectories.
-      // state_hashes are only read by exact-state crossover matching, so the
-      // kernel decoder skips recording them otherwise.
-      const DecodeOptions opt = decode_options(*cfg_);
-      const bool exact = cfg_->state_match == StateMatchKind::kExactState;
-      if (!kdec_.has_value() ||
-          kdec_opts_.truncate_at_goal != opt.truncate_at_goal ||
-          kdec_opts_.record_hashes != opt.record_hashes ||
-          kdec_opts_.checkpoint_stride != opt.checkpoint_stride ||
-          kdec_exact_ != exact) {
-        kdec_.emplace(*problem_, opt, exact);
-        kdec_opts_ = opt;
-        kdec_exact_ = exact;
-      }
-    }
+    // A decoder per phase: its options derive from the config, which the
+    // Engine holds by pointer and phase-varying scenarios mutate between
+    // phases, and its fresh context() tag keeps thread-local ops caches
+    // filled for a previous (possibly destroyed) problem from serving this
+    // run. Only exact-state crossover matching reads state hashes.
+    kdec_.emplace(*problem_, decode_options(*cfg_),
+                  cfg_->state_match == StateMatchKind::kExactState,
+                  CacheableOps<P> ? cfg_->ops_cache_size : 0);
     result_ = PhaseResult<State>{};
     have_best_ = false;
     generation_ = 0;
@@ -240,17 +217,7 @@ class PhaseRunner {
     // evaluation (children are evaluated in-line against their parents), so
     // the decode pass is pure recomputation and is skipped.
     const bool skip_decode = use_incremental && evals_current_;
-    if (!skip_decode) {
-      if constexpr (SimdDecodable<P>) {
-        if (cfg_->encoding == EncodingKind::kIndirect) {
-          evaluate_kernel(resumable);
-        } else {
-          evaluate_per_slot(resumable);
-        }
-      } else {
-        evaluate_per_slot(resumable);
-      }
-    }
+    if (!skip_decode) evaluate(resumable);
     children_pending_ = false;
     evals_current_ = true;
 
@@ -455,10 +422,7 @@ class PhaseRunner {
     rng.shuffle(order);
     const bool use_incremental = cfg_->incremental_eval &&
                                  cfg_->encoding == EncodingKind::kIndirect;
-    const std::size_t cache_entries =
-        CacheableOps<P> ? cfg_->ops_cache_size : 0;
-    thread_local EvalContext<State> ctx;
-    ctx.sync(problem_, epoch_, cache_entries);
+    EvalContext<State>& ctx = kdec_->context();
     child_a_.resize(cur_.stride());
     child_b_.resize(cur_.stride());
     auto eval_child = [&](const GeneLane& child, std::size_t parent,
@@ -527,13 +491,15 @@ class PhaseRunner {
                    rng, db);
   }
 
-  /// One kernel pass over the whole population (KernelBatchDecoder::run):
-  /// every slot that needs decoding joins the pass, with its retired parent
-  /// as the resume source, and the decoder prepares, orders and decodes them
+  /// The population's one evaluation pass (KernelBatchDecoder::run): every
+  /// slot that needs decoding joins it, with its retired parent as the
+  /// resume source, and the decoder prepares, orders and decodes them
   /// (across the thread pool when there is one); eval.score_ms times the
-  /// scoring that follows. The slot list and the pass scratch are
-  /// runner-owned, so a steady-state generation allocates nothing here.
-  void evaluate_kernel(bool resumable) {
+  /// scoring that follows. The direct encoding, an ablation, decodes each
+  /// slot cold on the calling thread instead. The slot list and the pass
+  /// scratch are runner-owned, so a steady-state generation allocates
+  /// nothing here.
+  void evaluate(bool resumable) {
     kslots_.clear();
     for (std::size_t i = 0; i < cur_.slots(); ++i) {
       if (resumable && dirty_of_[i] == detail::kEvalReady) {
@@ -552,48 +518,19 @@ class PhaseRunner {
         }
       }
     }
+    if (cfg_->encoding == EncodingKind::kDirect) {
+      for (const auto& sl : kslots_) {
+        evaluate_into(*problem_, *cfg_, start_, sl.genes, kdec_->context(),
+                      *sl.ev);
+      }
+      return;
+    }
     kdec_->run(start_, kslots_, kscratch_, pool_);
     util::Timer timer;
     for (const auto& sl : kslots_) score(*problem_, *cfg_, *sl.ev);
     static obs::Histogram& h_score =
         obs::histogram("eval.score_ms", obs::latency_buckets_ms());
     h_score.observe(timer.millis());
-  }
-
-  /// Per-slot decode over lane spans: resumes each child from its retired
-  /// parent's checkpoints when possible, else decodes cold. Per-thread
-  /// EvalContexts hold the valid-ops transposition cache for domains that
-  /// opt in (CacheableOps).
-  void evaluate_per_slot(bool resumable) {
-    const std::size_t cache_entries =
-        CacheableOps<P> ? cfg_->ops_cache_size : 0;
-    auto eval_one = [&](std::size_t i) {
-      thread_local EvalContext<State> ctx;
-      ctx.sync(problem_, epoch_, cache_entries);
-      if (resumable) {
-        const std::uint32_t dirty = dirty_of_[i];
-        if (dirty == detail::kEvalReady) return;  // elite: evaluation carried over
-        if (dirty != detail::kDirtyAll) {
-          // next_ holds the retired parent generation (double-buffered), so
-          // the parent's genome is available for the ops-identical
-          // fast-forward alongside its evaluation.
-          const std::size_t pi = parent_of_[i];
-          if (next_.eval(pi).decoded) {
-            evaluate_resume(*problem_, *cfg_, start_, cur_.genome(i), ctx,
-                            next_.eval(pi), next_.genome(pi), dirty,
-                            cur_.eval(i));
-            return;
-          }
-        }
-      }
-      evaluate_into(*problem_, *cfg_, start_, cur_.genome(i), ctx,
-                    cur_.eval(i));
-    };
-    if (pool_ != nullptr && pool_->thread_count() > 1) {
-      pool_->parallel_for(0, cur_.slots(), eval_one);
-    } else {
-      for (std::size_t i = 0; i < cur_.slots(); ++i) eval_one(i);
-    }
   }
 
   std::size_t select(util::Rng& rng) const {
@@ -632,17 +569,14 @@ class PhaseRunner {
   std::vector<Gene> child_a_, child_b_;  ///< crowding child lanes
   Evaluation<State> eval_a_, eval_b_;    ///< crowding child evaluations
   CrossoverScratch xscratch_;
-  std::optional<KdecT> kdec_;  ///< engaged iff SimdDecodable<P>
-  std::vector<detail::KernelSlot<State>> kslots_;  ///< kernel pass slots
-  detail::KernelScratch<State> kscratch_;  ///< kernel pass scratch
-  DecodeOptions kdec_opts_{};  ///< options kdec_ was built with
-  bool kdec_exact_ = false;    ///< exact-state flag kdec_ was built with
+  std::optional<KernelBatchDecoder<P>> kdec_;  ///< rebuilt by init()
+  std::vector<detail::KernelSlot<State>> kslots_;  ///< evaluation pass slots
+  detail::KernelScratch<State> kscratch_;  ///< evaluation pass scratch
   PhaseResult<State> result_;
   obs::SpanContext span_ctx_;  ///< parent for generation spans
   bool have_best_ = false;
   bool children_pending_ = false;  ///< cur_ holds unevaluated children with dirty info
   bool evals_current_ = false;     ///< every cur_ slot carries a current evaluation
-  std::uint64_t epoch_ = 0;
   std::size_t generation_ = 0;
 };
 

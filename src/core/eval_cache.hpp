@@ -11,21 +11,22 @@
 // verified by equality on lookup, so a 64-bit hash collision can never return
 // the wrong operation list: results are bit-identical to uncached decoding.
 //
-// Interplay with the batched kernel decode: domains that expose a
-// SimdDecodable kernel bypass this cache entirely for the indirect encoding —
-// the kernel's LUT is a perfect, precomputed replacement for the memo table,
-// so the batch decoder never probes here. Kernel-less domains decode per slot
-// through evaluate_resume and keep using these contexts; there the cache
-// pays for itself (Sokoban at gaplan_serve's tuning ran 2.3-2.6x slower with
-// ops_cache_size=0 on a 4-vCPU AVX-512 VM; the genomics grid workflow at
+// Interplay with the evaluation pass (KernelBatchDecoder): domains that
+// expose a SimdDecodable kernel bypass this cache in the pass — the kernel's
+// LUT is a perfect, precomputed replacement for the memo table. Every other
+// domain decodes the pass over ProblemOps through each worker's context
+// (KernelBatchDecoder::context); there the cache pays for itself (Sokoban
+// at gaplan_serve's tuning ran 2.3-2.6x slower with ops_cache_size=0 on a
+// 4-vCPU AVX-512 VM; the genomics grid workflow at
 // workflow_cli's GA settings hits 99.96% of lookups and ran 2.2x the median
 // evals/s of ops_cache_size=0, BENCH_eval.json "workflow_cache").
 //
 // Contexts are thread-local (one writer, no synchronization) and tagged with
-// the (problem address, engine epoch) pair they were filled for; sync()
-// clears the cache whenever either changes, so a cache can never leak entries
-// across problem instances — including a new instance constructed at a
-// recycled address, because every PhaseRunner::init() bumps the global epoch.
+// the (owner address, epoch) pair they were filled for; sync() clears the
+// cache whenever either changes, so a cache can never leak entries across
+// problem instances — including a new instance constructed at a recycled
+// address, because every owner draws a fresh epoch (a KernelBatchDecoder at
+// construction, once per PhaseRunner::init()).
 #pragma once
 
 #include <algorithm>
@@ -144,9 +145,10 @@ class OpsCache {
   std::size_t mask_ = 0;
 };
 
-/// Monotonic epoch bumped by every PhaseRunner::init(). Thread-local eval
-/// contexts compare it (together with the problem address) to decide whether
-/// their cached state is still meaningful.
+/// Monotonic epoch, drawn by every context owner (each KernelBatchDecoder,
+/// so each PhaseRunner::init()). Thread-local eval contexts compare it
+/// (together with the owner address) to decide whether their cached state is
+/// still meaningful.
 inline std::atomic<std::uint64_t>& eval_epoch() {
   static std::atomic<std::uint64_t> epoch{0};
   return epoch;
@@ -164,7 +166,7 @@ struct EvalContext {
   std::vector<int> scratch;
   OpsCache<State> cache;
 
-  /// Re-tags the context for (problem, epoch) and sizes the cache to
+  /// Re-tags the context for (owner, epoch) and sizes the cache to
   /// `cache_entries`. Clears the cache when the owner changed so stale
   /// entries from another problem instance can never be served.
   void sync(const void* problem, std::uint64_t epoch, std::size_t cache_entries) {

@@ -67,13 +67,13 @@ struct PackedOps {
 /// pure function of a small state key exposes `simd_kernel()`, an object
 /// carrying a lookup table of packed operation sets plus inline
 /// apply/cost/hash/goal replicas. The decoder runs the same decode core as
-/// the per-slot path over this LUT (detail::LutOps); a kernel may add the
+/// kernel-less domains over this LUT (detail::LutOps); a kernel may add the
 /// 8-lane hooks of HanoiKernel for the AVX-512 group step, plus a lane-word
 /// codec when its state is not one 64-bit word (TileKernel). The kernel MUST
 /// agree bit-for-bit with the domain's own valid_ops/apply/op_cost/hash/
 /// is_goal — tests/test_prop_kernel.cpp checks that on random walks, and the
-/// engine's trajectories are held to golden fixtures recorded with the
-/// per-slot decode (tests/test_golden.cpp, tests/test_eval_soa.cpp).
+/// engine's trajectories are held to golden fixtures recorded with a
+/// per-genome decode (tests/test_golden.cpp, tests/test_eval_soa.cpp).
 /// Constraints: every op id < 16 and every state has at most 16 valid
 /// operations (the 4-bit packing above).
 ///

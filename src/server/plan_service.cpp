@@ -277,6 +277,16 @@ SubmitOutcome PlanService::submit(PlanRequest req) {
   mix_config(h, req.config);  // already tuned above
   h.mix(req.seed);
   const Fingerprint fp = h.digest();
+  if (ctx.valid()) {
+    // Admission so far (config tuning, lint, fingerprint) as a span of its
+    // own under the root, ending here.
+    obs::TraceEvent("admit")
+        .f("trace", ctx.trace)
+        .f("span", obs::next_span_id())
+        .f("parent", ctx.span)
+        .f("dur_ms", obs::monotonic_ms() - submit_now)
+        .emit();
+  }
 
   // Admission gate 2: the plan cache. A warm hit completes inside submit()
   // without touching the queue.
@@ -488,6 +498,10 @@ void PlanService::worker_main() {
 
     if (!r.job) {
       try {
+        // Building the problem and its engine; the span closes (during
+        // unwinding, too) before the lock is re-acquired.
+        obs::ScopedSpan setup_span("job_setup", r.ctx);
+        setup_span.f("req", r.id);
         r.job = detail::make_job(r.req.problem, r.cfg, r.req.seed,
                                  eval_pool_.get());
       } catch (const std::exception& e) {
@@ -546,28 +560,35 @@ void PlanService::worker_main() {
         break;
       }
       if (finished) {
-        CachedPlan result = r.job->take_result();
-        std::vector<Fingerprint> evicted;
-        cache_.insert(r.fp, result, &evicted);
-        // Fire the cache listener with no locks held (we are between the
-        // slice and the terminal transition; r's fields are still worker-
-        // owned). The brief mu_ acquisition only copies the callback.
-        CacheListener listener;
+        CachedPlan result;
         {
-          util::MutexLock listener_lock(mu_);
-          listener = cache_listener_;
-        }
-        if (listener) {
-          CacheEvent ins;
-          ins.kind = CacheEvent::Kind::kInsert;
-          ins.fp = r.fp;
-          ins.plan = result;
-          listener(ins);
-          for (const Fingerprint& efp : evicted) {
-            CacheEvent del;
-            del.kind = CacheEvent::Kind::kEvict;
-            del.fp = efp;
-            listener(del);
+          // The publish span: result, cache insert and listener, between
+          // the last slice and the terminal transition.
+          obs::ScopedSpan publish_span("publish", r.ctx);
+          publish_span.f("req", r.id);
+          result = r.job->take_result();
+          std::vector<Fingerprint> evicted;
+          cache_.insert(r.fp, result, &evicted);
+          // Fire the cache listener with no locks held (r's fields are still
+          // worker-owned). The brief mu_ acquisition only copies the
+          // callback.
+          CacheListener listener;
+          {
+            util::MutexLock listener_lock(mu_);
+            listener = cache_listener_;
+          }
+          if (listener) {
+            CacheEvent ins;
+            ins.kind = CacheEvent::Kind::kInsert;
+            ins.fp = r.fp;
+            ins.plan = result;
+            listener(ins);
+            for (const Fingerprint& efp : evicted) {
+              CacheEvent del;
+              del.kind = CacheEvent::Kind::kEvict;
+              del.fp = efp;
+              listener(del);
+            }
           }
         }
         lock.lock();

@@ -4,8 +4,9 @@
 // requires it byte for byte — same random draws, same per-generation stats,
 // same best-of-phase genomes, same evaluation spend — plus a cold
 // evaluate_into of every reported best genome equal to the evaluation the
-// runner reported for it. Together they pin the batched SIMD-kernel decode,
-// the per-slot decode and lane-spliced reproduction to one reference.
+// runner reported for it. Together they pin the evaluation pass over a SIMD
+// kernel's LUT and over the problem itself, and lane-spliced reproduction,
+// to one reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,9 @@
 #include "domains/hanoi.hpp"
 #include "domains/pocket_cube.hpp"
 #include "domains/sliding_tile.hpp"
+#include "domains/sokoban.hpp"
 #include "golden/cases.hpp"
+#include "grid/workflow.hpp"
 #include "obs/metrics.hpp"
 #include "scalar_kernel_hanoi.hpp"
 #include "util/simd.hpp"
@@ -64,7 +67,7 @@ TEST(SoaLayoutParity, PocketCubeKernel) {
 }
 
 TEST(SoaLayoutParity, KernellessDomainGenericPooledPath) {
-  // Kernel-less domains decode slot by slot (evaluate_resume over lanes).
+  // Kernel-less domains run the same evaluation pass over ProblemOps.
   static_assert(!ga::SimdDecodable<strips::Problem>);
   expect_golden({"strips_hanoi_generational", "sokoban_generational",
                  "navigation_generational", "blocks_generational",
@@ -161,10 +164,12 @@ std::vector<GenerationTrace> run_checked(const P& problem,
 }
 
 template <typename P>
-void expect_group_remainders_agree(const P& problem, const ga::GaConfig& cfg) {
-  // Populations off the 8-lane group size (1, 7, 9, 201) leave a partial
-  // last group; pooled passes deal the groups to 2 or 4 workers.
-  for (const std::size_t pop : {1, 7, 9, 201}) {
+void expect_group_remainders_agree(
+    const P& problem, const ga::GaConfig& cfg,
+    std::initializer_list<std::size_t> pops = {1, 7, 9, 201}) {
+  // Populations off the 8-lane group size leave a partial last group;
+  // pooled passes deal the groups to 2 or 4 workers.
+  for (const std::size_t pop : pops) {
     const auto serial = run_checked(problem, cfg, pop, 1, 8);
     for (const std::size_t threads : {2, 4}) {
       const auto pooled = run_checked(problem, cfg, pop, threads, 8);
@@ -213,6 +218,22 @@ TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsTiles) {
   // 15-puzzle boards as lane words on the AVX-512 step where the CPU has
   // it; a partial last group leaves all-zero words in its unused lanes.
   expect_group_remainders_agree(scrambled_tiles(4), remainder_config());
+}
+
+TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsSokoban) {
+  // ProblemOps lanes: player-reachability valid ops through each worker's
+  // valid-ops cache.
+  static_assert(!ga::SimdDecodable<domains::Sokoban>);
+  expect_group_remainders_agree(golden::sokoban(), remainder_config(),
+                                {7, 201});
+}
+
+TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsWorkflow) {
+  // ProblemOps lanes over heap-backed states: the grid workflow's bitset is
+  // decoded in place and moved into each Evaluation.
+  static_assert(!ga::SimdDecodable<grid::WorkflowProblem>);
+  expect_group_remainders_agree(golden::workflow(), remainder_config(),
+                                {7, 201});
 }
 
 TEST(SoaLayoutParity, GroupRemaindersAndPooledGroupsScalar) {
@@ -320,11 +341,11 @@ std::uint64_t kernel_ff_skipped(const P& problem, const ga::GaConfig& base,
   return skipped;
 }
 
-/// Valid-ops matching on the AVX-512 step: the kernel pass resumes vector
+/// Valid-ops matching on the AVX-512 step: the pass resumes LutOps vector
 /// lanes at their checkpoint without the fast-forward, and its Evaluations
-/// still equal the per-slot evaluate_resume ones (the same runner over
-/// WithoutKernel<P>, which does fast-forward), generation by generation on
-/// the same trajectory.
+/// still equal those of the same pass over ProblemOps (the same runner over
+/// WithoutKernel<P>, whose lanes do fast-forward), generation by generation
+/// on the same trajectory.
 template <typename P>
 void expect_vector_lanes_match_per_slot(const P& problem,
                                         const ga::GaConfig& cfg) {
@@ -374,7 +395,7 @@ void expect_vector_lanes_match_per_slot(const P& problem,
   }
   EXPECT_GT(kernel_steps, 0u) << "no lane took the vector step";
   EXPECT_GT(kernel_partial, 0u) << "no kernel lane resumed from a checkpoint";
-  EXPECT_GT(slot_ff, 0u) << "the per-slot decode never fast-forwarded";
+  EXPECT_GT(slot_ff, 0u) << "the ProblemOps lanes never fast-forwarded";
   EXPECT_EQ(kernel_ff, 0u) << "a vector lane ran the fast-forward";
 }
 

@@ -242,12 +242,13 @@ TEST(Metrics, PooledEvalCountersAppearInExport) {
   EXPECT_NE(text.find("gaplan_eval_simd_steps_total"), std::string::npos);
 }
 
-TEST(Metrics, KernelPassSplitHistograms) {
-  // Every KernelBatchDecoder::run observes its prepare step, its ordering
-  // and its group decode once each, and the runner scores each pass once, so
-  // all four histograms count exactly the passes run.
+/// Runs one phase of `problem` and requires every eval.*_ms histogram of
+/// the evaluation pass to count exactly the passes run: each
+/// KernelBatchDecoder::run observes its prepare step, its ordering and its
+/// group decode once, and the runner scores each pass once.
+template <typename P>
+void expect_pass_split_histograms(const P& problem) {
   namespace ga = gaplan::ga;
-  namespace domains = gaplan::domains;
   const auto hist_count = [](const char* name) -> std::uint64_t {
     const auto snap = obs::snapshot_metrics();
     const auto* h = snap.find_histogram(name);
@@ -258,16 +259,15 @@ TEST(Metrics, KernelPassSplitHistograms) {
   const std::uint64_t order0 = hist_count("eval.order_ms");
   const std::uint64_t decode0 = hist_count("eval.group_decode_ms");
   const std::uint64_t score0 = hist_count("eval.score_ms");
-  const domains::Hanoi h(5);
   ga::GaConfig cfg;
   cfg.population_size = 30;
   cfg.generations = 10;
   cfg.initial_length = 16;
   cfg.max_length = 64;
   cfg.stop_on_valid = false;
-  ga::Engine<domains::Hanoi> engine(h, cfg);
+  ga::Engine<P> engine(problem, cfg);
   gaplan::util::Rng rng(29);
-  engine.run_phase(h.initial_state(), rng, false);
+  engine.run_phase(problem.initial_state(), rng, false);
 
   const auto snap = obs::snapshot_metrics();
   const auto* prepare = snap.find_histogram("eval.prepare_ms");
@@ -286,6 +286,22 @@ TEST(Metrics, KernelPassSplitHistograms) {
   EXPECT_EQ(score->count - score0, passes);
   EXPECT_GT(prepare->sum, 0.0);
   EXPECT_GT(decode->sum, 0.0);
+}
+
+TEST(Metrics, KernelPassSplitHistograms) {
+  // A domain with a SIMD kernel (LutOps lanes) and one without (ProblemOps
+  // lanes) run the same pass, so both observe the whole split.
+  namespace domains = gaplan::domains;
+  static_assert(gaplan::ga::SimdDecodable<domains::Hanoi>);
+  static_assert(!gaplan::ga::SimdDecodable<domains::Navigation>);
+  expect_pass_split_histograms(domains::Hanoi(5));
+  // The kernel-less pass decodes through each thread's valid-ops cache.
+  const std::uint64_t hits0 = counter_value("eval.cache_hits");
+  const std::uint64_t misses0 = counter_value("eval.cache_misses");
+  expect_pass_split_histograms(
+      domains::Navigation(6, 6, {8, 14, 20, 21, 27}, {0, 5}, {35, 30}));
+  EXPECT_GT(counter_value("eval.cache_hits"), hits0);
+  EXPECT_GT(counter_value("eval.cache_misses"), misses0);
 }
 
 TEST(Metrics, LatencyBucketsAreSane) {

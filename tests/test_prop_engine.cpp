@@ -64,7 +64,7 @@ prop::Gen<EngineCase> engine_case() {
     c.seed = rng();
     c.threaded = rng.chance(0.25);
     // Crowding and the direct encoding run their own decode paths (in-place
-    // child evaluation; per-slot decode on kernel domains too).
+    // child evaluation; a cold per-slot decode).
     if (rng.chance(0.25)) c.cfg.replacement = ga::ReplacementKind::kCrowding;
     if (rng.chance(0.2)) c.cfg.encoding = ga::EncodingKind::kDirect;
     return c;
@@ -101,9 +101,9 @@ prop::Gen<EngineCase> engine_case() {
 // Invariant: every reported genome is its cold evaluation — after each
 // step_evaluate, every population slot and the best-of-phase individual
 // carry exactly the Evaluation a cold evaluate_into of their genome yields
-// (whichever decode path produced it: batched kernel, per-slot resume, or a
-// carried-over elite), and the phase spends one evaluation per slot per
-// generation.
+// (whichever decode path produced it: the evaluation pass, crowding's
+// per-genome resume, or a carried-over elite), and the phase spends one
+// evaluation per slot per generation.
 // ---------------------------------------------------------------------------
 
 /// Whether `reported` is exactly the cold evaluate_into of `genes`; records
