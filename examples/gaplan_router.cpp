@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   std::printf("gaplan_router: listening on 127.0.0.1:%d\n", server.port());
   std::fflush(stdout);
 
-  while (!router.shutdown_requested()) {
+  while (!router.protocol().shutdown_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   server.stop();

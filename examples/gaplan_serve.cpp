@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
                  cfg.metrics_dump_path.c_str(), cfg.metrics_dump_ms);
   }
 
-  gaplan::serve::Protocol protocol(*service);
+  gaplan::serve::Protocol protocol;
+  gaplan::serve::add_service_verbs(protocol, *service);
 
 #ifdef GAPLAN_TCP
   std::unique_ptr<gaplan::serve::TcpLineServer> tcp;

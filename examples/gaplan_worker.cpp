@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
         });
   }
 
-  gaplan::serve::Protocol protocol(*service);
-  gaplan::dist::add_worker_verbs(protocol);
+  gaplan::serve::Protocol protocol;
+  gaplan::dist::add_worker_verbs(protocol, *service);
   gaplan::serve::TcpLineServer server(
       [&protocol](const std::string& line, bool& close_after) {
         return protocol.handle_line(line, close_after);

@@ -13,7 +13,8 @@
 #   ubsan          UndefinedBehaviorSanitizer over the whole suite.
 #   tsan           ThreadSanitizer over the concurrent subsystems only (the
 #                  planning service, its protocol core and TCP line server,
-#                  worker gossip and the router's backend pool, its thread
+#                  worker gossip, the router (backend pool and island runs over
+#                  in-process workers), its thread
 #                  pool, the islands model, and the pooled SoA evaluator's
 #                  threaded lane splicing) —
 #                  TSan's ~10x slowdown makes the full suite impractical,
@@ -125,7 +126,7 @@ case "${lane}" in
   asan)  run_lane "${asan[@]}" "$@" ;;
   ubsan) run_lane "${ubsan[@]}" "$@" ;;
   tsan)  run_lane tsan build-tsan -DGAPLAN_SANITIZE=thread \
-           -R 'PlanService|PlanCache|ThreadPool|Serve|Island|Soa|Prop|Dist|Protocol|LineServer|Gossip|RouterBackends|serve_smoke|trace_analyze_smoke|dist_smoke|cli_flags_smoke' \
+           -R 'PlanService|PlanCache|ThreadPool|Serve|Island|Soa|Prop|Dist|Protocol|LineServer|Gossip|Router|serve_smoke|trace_analyze_smoke|dist_smoke|cli_flags_smoke' \
            "$@" ;;
   prop)  GAPLAN_PROP_ITERS="${GAPLAN_PROP_ITERS:-20}" \
            run_lane "${asan[@]}" -L prop "$@" ;;

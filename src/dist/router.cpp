@@ -2,13 +2,13 @@
 
 #ifdef GAPLAN_TCP
 
-#include <cmath>
+#include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "dist/cache_wire.hpp"
 #include "dist/island_shard.hpp"
+#include "dist/worker_verbs.hpp"
 #include "obs/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/request_codec.hpp"
@@ -36,56 +36,57 @@ std::string render_cached_status(std::uint64_t id,
   return w.finish();
 }
 
-/// One ShardOutcome off an ifinish response. Throws on a malformed frame
-/// (treated as a worker failure by the island loop).
-ShardOutcome parse_shard_outcome(const WireMessage& msg) {
-  ShardOutcome o;
-  o.found_valid = msg.get_bool("found_valid").value_or(false);
-  std::string error;
-  if (!msg.get_integer("generation_found", o.generation_found, error) ||
-      !msg.get_integer("generations_run", o.generations_run, error) ||
-      !msg.get_integer("migrations", o.migrations, error) ||
-      !msg.get_integer("best_island", o.best_island, error) ||
-      !msg.get_integer("best_gen", o.best_gen, error)) {
-    throw std::runtime_error("ifinish response: " + error);
+/// One RPC to a worker that must answer "ok". Throws std::runtime_error on
+/// a transport failure or an error answer: the island run then restarts on
+/// the workers still up.
+WireMessage call_worker(BackendPool& pool, const std::string& backend,
+                        const std::string& line) {
+  WireMessage resp;
+  std::string err;
+  if (!pool.rpc(backend, line, resp, err)) {
+    throw std::runtime_error("rpc to " + backend + " failed: " + err);
   }
-  o.best_valid = msg.get_bool("best_valid").value_or(false);
-  o.best_goal_fit = msg.get_number("best_goal_fit").value_or(0.0);
-  o.best_fitness = msg.get_number("best_fitness").value_or(0.0);
-  o.best_plan_cost = msg.get_number("best_plan_cost").value_or(0.0);
-  const std::vector<double>* ops = msg.get_array("plan");
-  if (!ops) throw std::runtime_error("ifinish response missing plan array");
-  o.best_ops.reserve(ops->size());
-  for (const double v : *ops) {
-    if (!serve::wire_int_in_range(v)) {
-      throw std::runtime_error("ifinish response has non-integer plan step");
-    }
-    o.best_ops.push_back(static_cast<int>(v));
+  if (!resp.get_bool("ok").value_or(false)) {
+    const std::string* what = resp.get_string("error");
+    throw std::runtime_error("worker " + backend + " error: " +
+                             (what ? *what : "unknown"));
   }
-  return o;
+  return resp;
 }
-
-/// Thrown inside an island run when any worker RPC fails; the run restarts
-/// on the surviving workers.
-struct IslandRunFailure : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 }  // namespace
 
 RouterService::RouterService(RouterConfig cfg)
-    : cfg_(std::move(cfg)), pool_(cfg_) {}
+    : cfg_(std::move(cfg)), pool_(cfg_) {
+  protocol_.add_verb("submit", [this](const WireMessage& msg, bool&) {
+    return route_submit(msg);
+  });
+  for (const char* cmd : {"wait", "poll", "cancel", "trace"}) {
+    protocol_.add_verb(cmd, [this](const WireMessage& msg, bool&) {
+      return handle_forward(msg);
+    });
+  }
+  protocol_.add_verb("stats", [this](const WireMessage&, bool&) {
+    return render_router_stats();
+  });
+  protocol_.add_verb("backends", [this](const WireMessage&, bool&) {
+    return render_backends();
+  });
+  protocol_.add_verb("route", [this](const WireMessage& msg, bool&) {
+    return handle_route(msg);
+  });
+  protocol_.add_verb("ping", [](const WireMessage&, bool&) {
+    JsonWriter w;
+    w.field("ok", true).field("role", "router");
+    return w.finish();
+  });
+}
 
 RouterService::~RouterService() { stop(); }
 
 void RouterService::start() { pool_.start(); }
 
 void RouterService::stop() { pool_.stop(); }
-
-bool RouterService::shutdown_requested() const {
-  util::MutexLock lock(mu_);
-  return shutdown_requested_;
-}
 
 RouterService::Stats RouterService::stats() const {
   util::MutexLock lock(mu_);
@@ -386,22 +387,15 @@ std::string RouterService::handle_island(serve::PlanRequest req,
   static obs::Counter& c_island_restarts =
       obs::counter("dist.island_restarts");
   ga::IslandConfig icfg;
-  icfg.islands = 0;
   std::string field_error;
-  if (!msg.get_integer("islands", icfg.islands, field_error) ||
-      !msg.get_integer("interval", icfg.migration_interval, field_error) ||
-      !msg.get_integer("migrants", icfg.migrants, field_error)) {
+  if (!parse_island_fields(msg, icfg, field_error)) {
     return error_response(field_error);
   }
-  if (icfg.islands == 0) return error_response("'islands' must be >= 1");
-  const bool stop_on_valid = req.config.stop_on_valid;
 
   c_island_runs.inc();
-  std::string token;
   {
     util::MutexLock lock(mu_);
     ++stats_.island_runs;
-    token = "s" + std::to_string(next_shard_token_++);
   }
 
   const obs::SpanContext ctx = obs::new_trace_context();
@@ -411,22 +405,20 @@ std::string RouterService::handle_island(serve::PlanRequest req,
   // The ishard line: the full submit field set plus the shard plumbing, so
   // the worker reconstructs the identical problem/config and the identical
   // per-island RNG streams.
-  WireMessage base;
+  WireMessage ishard;
   {
     std::string err;
-    if (!serve::parse_wire_message(serve::render_submit_line(req), base,
+    if (!serve::parse_wire_message(serve::render_submit_line(req), ishard,
                                    err)) {
       return error_response("internal: submit re-render failed: " + err);
     }
   }
-  base.strings["cmd"] = "ishard";
-  base.strings["shard"] = token;
-  base.numbers["islands"] = static_cast<double>(icfg.islands);
-  base.numbers["interval"] = static_cast<double>(icfg.migration_interval);
-  base.numbers["migrants"] = static_cast<double>(icfg.migrants);
+  ishard.strings["cmd"] = "ishard";
+  ishard.numbers["islands"] = static_cast<double>(icfg.islands);
+  ishard.numbers["interval"] = static_cast<double>(icfg.migration_interval);
+  ishard.numbers["migrants"] = static_cast<double>(icfg.migrants);
 
-  int attempts = 0;
-  for (;;) {
+  for (int attempts = 0;; ++attempts) {
     const std::vector<std::string> workers = pool_.up_backends();
     if (workers.empty()) return error_response("no-backends-up");
     std::vector<double> weights(workers.size(), 1.0);
@@ -436,123 +428,33 @@ std::string RouterService::handle_island(serve::PlanRequest req,
       }
     }
     const auto groups = partition_islands(icfg.islands, weights);
-    // Shards with islands to run, in worker order.
-    std::vector<std::string> ids;
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      if (groups[i].first == groups[i].second) continue;
-      ids.push_back(workers[i]);
-      ranges.push_back(groups[i]);
+    // A fresh token each attempt: a worker marked down mid-run keeps its
+    // shard under the old token, and must not clash if it is back up.
+    {
+      util::MutexLock lock(mu_);
+      ishard.strings["shard"] = "s" + std::to_string(next_shard_token_++);
     }
-    const auto owner_of = [&](std::size_t island) -> const std::string& {
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (island >= ranges[i].first && island < ranges[i].second) {
-          return ids[i];
-        }
-      }
-      throw IslandRunFailure("island owner not found");
-    };
-
+    std::vector<std::unique_ptr<ShardJob>> shards;
     try {
-      const auto call = [&](const std::string& backend,
-                            const std::string& line) -> WireMessage {
-        WireMessage resp;
-        std::string err;
-        if (!pool_.rpc(backend, line, resp, err)) {
-          throw IslandRunFailure("rpc to " + backend + " failed: " + err);
-        }
-        if (!resp.get_bool("ok").value_or(false)) {
-          const std::string* what = resp.get_string("error");
-          throw IslandRunFailure("worker " + backend + " error: " +
-                                 (what ? *what : "unknown"));
-        }
-        return resp;
-      };
-
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        WireMessage m = base;
-        m.numbers["begin"] = static_cast<double>(ranges[i].first);
-        m.numbers["end"] = static_cast<double>(ranges[i].second);
-        call(ids[i], serve::render_wire_message(m));
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        if (groups[i].first == groups[i].second) continue;
+        ishard.numbers["begin"] = static_cast<double>(groups[i].first);
+        ishard.numbers["end"] = static_cast<double>(groups[i].second);
+        call_worker(pool_, workers[i], serve::render_wire_message(ishard));
+        shards.push_back(make_remote_shard(
+            [this, id = workers[i]](const std::string& line) {
+              return call_worker(pool_, id, line);
+            },
+            ishard.strings["shard"], groups[i].first, groups[i].second));
       }
-
-      const auto step_line = [&](const char* verb) {
-        JsonWriter w;
-        w.field("cmd", verb).field("shard", std::string_view(token));
-        return w.finish();
-      };
-
-      for (;;) {
-        // One interval on every shard, concurrently — each worker grinds
-        // its own islands; the router only pays one round-trip per interval.
-        std::vector<WireMessage> resp(ids.size());
-        std::vector<std::string> errs(ids.size());
-        std::vector<char> rpc_ok(ids.size(), 0);
-        {
-          std::vector<std::thread> threads;
-          threads.reserve(ids.size());
-          const std::string line = step_line("istep");
-          for (std::size_t i = 0; i < ids.size(); ++i) {
-            threads.emplace_back([&, i] {
-              rpc_ok[i] =
-                  pool_.rpc(ids[i], line, resp[i], errs[i]) ? 1 : 0;
-            });
-          }
-          for (std::thread& t : threads) t.join();
-        }
-        bool boundary = false;
-        bool any_valid = false;
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          if (!rpc_ok[i] || !resp[i].get_bool("ok").value_or(false)) {
-            throw IslandRunFailure("istep on " + ids[i] +
-                                   " failed: " + errs[i]);
-          }
-          boundary = resp[i].get_bool("boundary").value_or(false);
-          any_valid =
-              any_valid || resp[i].get_bool("found_valid").value_or(false);
-        }
-        if (!boundary) break;
-        if (stop_on_valid && any_valid) break;
-
-        // Ring migration: collect island i's elites from its owner, inject
-        // them into island (i+1) mod K on *its* owner. All collects precede
-        // all injects (the coordinator is the barrier ga::run_islands gets
-        // for free in one process).
-        std::vector<std::string> frames(icfg.islands);
-        for (std::size_t i = 0; i < icfg.islands; ++i) {
-          JsonWriter w;
-          w.field("cmd", "icollect")
-              .field("shard", std::string_view(token))
-              .field("island", static_cast<std::uint64_t>(i));
-          const WireMessage r = call(owner_of(i), w.finish());
-          const std::string* frame = r.get_string("frame");
-          if (!frame) throw IslandRunFailure("icollect missing frame");
-          frames[i] = *frame;
-        }
-        for (std::size_t i = 0; i < icfg.islands; ++i) {
-          const std::size_t target = (i + 1) % icfg.islands;
-          JsonWriter w;
-          w.field("cmd", "imigrate")
-              .field("shard", std::string_view(token))
-              .field("island", static_cast<std::uint64_t>(target))
-              .field("frame", std::string_view(frames[i]));
-          call(owner_of(target), w.finish());
-        }
-        for (const std::string& id : ids) call(id, step_line("iadvance"));
-      }
-
-      std::vector<ShardOutcome> outs;
-      outs.reserve(ids.size());
-      for (const std::string& id : ids) {
-        outs.push_back(parse_shard_outcome(call(id, step_line("ifinish"))));
-      }
-      const ShardOutcome merged = merge_shard_outcomes(outs);
+      const ShardOutcome merged =
+          run_sharded_islands(shards, icfg.islands, req.config.stop_on_valid);
 
       JsonWriter w;
       w.field("ok", true)
           .field("state", "done")
           .field("islands", static_cast<std::uint64_t>(icfg.islands))
-          .field("workers", static_cast<std::uint64_t>(ids.size()))
+          .field("workers", static_cast<std::uint64_t>(shards.size()))
           .field("found_valid", merged.found_valid)
           .field("generation_found",
                  static_cast<std::uint64_t>(merged.generation_found))
@@ -569,63 +471,31 @@ std::string RouterService::handle_island(serve::PlanRequest req,
           .field("restarts", static_cast<std::uint64_t>(attempts));
       if (ctx.valid()) w.field("trace", ctx.trace);
       return w.finish();
-    } catch (const IslandRunFailure& e) {
+    } catch (const std::exception& e) {
       // Best-effort cleanup on the survivors, then restart on whoever is
       // still up — bounded by the same retry budget as single requests.
-      for (const std::string& id : ids) {
-        if (!pool_.is_up(id)) continue;
+      JsonWriter abort;
+      abort.field("cmd", "iabort")
+          .field("shard", std::string_view(ishard.strings["shard"]));
+      const std::string abort_line = abort.finish();
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        if (groups[i].first == groups[i].second || !pool_.is_up(workers[i])) {
+          continue;
+        }
         WireMessage resp;
         std::string err;
-        JsonWriter w;
-        w.field("cmd", "iabort").field("shard", std::string_view(token));
-        pool_.rpc(id, w.finish(), resp, err);
+        pool_.rpc(workers[i], abort_line, resp, err);
       }
-      ++attempts;
       c_island_restarts.inc();
       {
         util::MutexLock lock(mu_);
         ++stats_.island_restarts;
       }
-      if (attempts > cfg_.retry_limit) {
+      if (attempts + 1 > cfg_.retry_limit) {
         return error_response("island run failed: " + std::string(e.what()));
       }
     }
   }
-}
-
-std::string RouterService::handle_line(const std::string& line,
-                                       bool& close_after) {
-  WireMessage msg;
-  std::string parse_error;
-  if (!serve::parse_wire_message(line, msg, parse_error)) {
-    return error_response("parse: " + parse_error);
-  }
-  const std::string* cmd = msg.get_string("cmd");
-  if (!cmd) return error_response("missing 'cmd'");
-  if (*cmd == "submit") return route_submit(msg);
-  if (*cmd == "wait" || *cmd == "poll" || *cmd == "cancel" ||
-      *cmd == "trace") {
-    return handle_forward(msg);
-  }
-  if (*cmd == "stats") return render_router_stats();
-  if (*cmd == "backends") return render_backends();
-  if (*cmd == "route") return handle_route(msg);
-  if (*cmd == "ping") {
-    JsonWriter w;
-    w.field("ok", true).field("role", "router");
-    return w.finish();
-  }
-  if (*cmd == "shutdown") {
-    {
-      util::MutexLock lock(mu_);
-      shutdown_requested_ = true;
-    }
-    close_after = true;
-    JsonWriter w;
-    w.field("ok", true).field("state", "stopping");
-    return w.finish();
-  }
-  return error_response("unknown cmd '" + *cmd + "'");
 }
 
 }  // namespace gaplan::dist

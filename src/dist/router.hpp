@@ -19,13 +19,18 @@
 //    keeps its router-side id throughout; responses are re-rendered with the
 //    id remapped.
 //  * Cross-process islands — a submit carrying "islands":K runs one GA as K
-//    islands sharded across every up worker (weights-proportional), driving
-//    the ishard/istep/icollect/imigrate/iadvance/ifinish worker verbs in
-//    interval lockstep and merging deterministically (dist/island_shard.hpp
-//    documents why the merge is bit-exact for a fixed worker count). A
-//    worker death mid-run aborts and restarts the run on the survivors,
-//    bounded by retry-limit.
+//    islands sharded across every up worker (weights-proportional). Each
+//    worker's shard is a remote ShardJob driven over the ishard/istep/
+//    icollect/imigrate/iadvance/ifinish worker verbs by run_sharded_islands,
+//    the same lockstep coordinator the in-process parity tests run
+//    (dist/island_shard.hpp documents why the merge is bit-exact). A worker
+//    failure mid-run aborts and restarts the run on the survivors under a
+//    fresh shard token, bounded by retry-limit.
 //
+// The client-facing verbs live on a serve::Protocol table, the one
+// dispatcher of every gaplan front end: the table answers malformed lines,
+// unknown verbs, metrics and shutdown; the router adds submit, the
+// wait/poll/cancel/trace forwarders, stats, backends, route and ping.
 // handle_line() is safe from any connection thread. The router's own lock
 // ("dist.router", rank below the backend table's) only guards the request
 // map and tallies — it is never held across socket IO.
@@ -45,6 +50,7 @@
 #include "obs/trace.hpp"
 #include "server/plan_cache.hpp"
 #include "server/plan_service.hpp"
+#include "server/protocol.hpp"
 #include "server/wire.hpp"
 #include "util/lock_order.hpp"
 #include "util/sync.hpp"
@@ -64,12 +70,12 @@ class RouterService {
   void stop();
 
   /// One protocol frame in, one response frame out (both sans newline).
-  /// Verbs: submit, wait, poll, cancel, stats, backends, route, ping,
-  /// shutdown.
-  std::string handle_line(const std::string& line, bool& close_after);
+  std::string handle_line(const std::string& line, bool& close_after) const {
+    return protocol_.handle_line(line, close_after);
+  }
 
-  /// True once a shutdown verb has been accepted (the front end exits).
-  bool shutdown_requested() const GAPLAN_EXCLUDES(mu_);
+  /// The router's verb table; its shutdown_requested() ends the front end.
+  const serve::Protocol& protocol() const noexcept { return protocol_; }
 
   BackendPool& pool() noexcept { return pool_; }
 
@@ -125,8 +131,8 @@ class RouterService {
   std::unordered_map<std::uint64_t, Request> requests_ GAPLAN_GUARDED_BY(mu_);
   std::uint64_t next_id_ GAPLAN_GUARDED_BY(mu_) = 1;
   std::uint64_t next_shard_token_ GAPLAN_GUARDED_BY(mu_) = 1;
-  bool shutdown_requested_ GAPLAN_GUARDED_BY(mu_) = false;
   Stats stats_ GAPLAN_GUARDED_BY(mu_);
+  serve::Protocol protocol_;
 };
 
 }  // namespace gaplan::dist

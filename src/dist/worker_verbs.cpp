@@ -2,11 +2,13 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dist/cache_wire.hpp"
-#include "dist/island_shard.hpp"
-#include "dist/migration.hpp"
 #include "obs/trace.hpp"
 #include "server/problem_spec.hpp"
 #include "server/request_codec.hpp"
@@ -99,19 +101,16 @@ std::string handle_ishard(ShardTable& shards, const WireMessage& msg) {
   const std::string* token = msg.get_string("shard");
   if (!token) return error_response("ishard needs a 'shard' token");
   ga::IslandConfig icfg;
-  icfg.islands = 0;
   std::size_t begin = 0;
   std::size_t end = 0;
   std::string field_error;
-  if (!msg.get_integer("islands", icfg.islands, field_error) ||
-      !msg.get_integer("interval", icfg.migration_interval, field_error) ||
-      !msg.get_integer("migrants", icfg.migrants, field_error) ||
+  if (!parse_island_fields(msg, icfg, field_error) ||
       !msg.get_integer("begin", begin, field_error) ||
       !msg.get_integer("end", end, field_error)) {
     return error_response(field_error);
   }
-  if (icfg.islands == 0 || !msg.get_number("begin") || !msg.get_number("end")) {
-    return error_response("ishard needs islands/begin/end");
+  if (!msg.get_number("begin") || !msg.get_number("end")) {
+    return error_response("ishard needs begin/end");
   }
   if (begin >= end || end > icfg.islands) {
     return error_response("ishard range out of bounds");
@@ -119,11 +118,12 @@ std::string handle_ishard(ShardTable& shards, const WireMessage& msg) {
   // Tune exactly once, here — the router forwards the client's raw config.
   req.config = serve::tuned_config(req.problem, req.config);
   try {
-    auto job = make_shard_job(req.problem, req.config, icfg, begin, end,
-                              req.seed, /*pool=*/nullptr);
+    obs::SpanContext span;
     if (req.trace != 0 && obs::trace_enabled()) {
-      job->set_span_context(obs::SpanContext{req.trace, obs::next_span_id()});
+      span = {req.trace, obs::next_span_id()};
     }
+    auto job = make_shard_job(req.problem, req.config, icfg, begin, end,
+                              req.seed, span);
     const std::string err = shards.insert(*token, std::move(job));
     if (!err.empty()) return error_response(err);
   } catch (const std::exception& e) {
@@ -156,10 +156,83 @@ std::string render_outcome(const ShardOutcome& o) {
   return w.finish();
 }
 
+/// One ShardOutcome off an ifinish response (render_outcome's inverse).
+/// Throws on a malformed frame.
+ShardOutcome parse_outcome(const WireMessage& msg) {
+  ShardOutcome o;
+  o.found_valid = msg.get_bool("found_valid").value_or(false);
+  std::string error;
+  if (!msg.get_integer("generation_found", o.generation_found, error) ||
+      !msg.get_integer("generations_run", o.generations_run, error) ||
+      !msg.get_integer("migrations", o.migrations, error) ||
+      !msg.get_integer("best_island", o.best_island, error) ||
+      !msg.get_integer("best_gen", o.best_gen, error)) {
+    throw std::runtime_error("ifinish response: " + error);
+  }
+  o.best_valid = msg.get_bool("best_valid").value_or(false);
+  o.best_goal_fit = msg.get_number("best_goal_fit").value_or(0.0);
+  o.best_fitness = msg.get_number("best_fitness").value_or(0.0);
+  o.best_plan_cost = msg.get_number("best_plan_cost").value_or(0.0);
+  const std::vector<double>* ops = msg.get_array("plan");
+  if (!ops) throw std::runtime_error("ifinish response missing plan array");
+  o.best_ops.reserve(ops->size());
+  for (const double v : *ops) {
+    if (!serve::wire_int_in_range(v)) {
+      throw std::runtime_error("ifinish response has non-integer plan step");
+    }
+    o.best_ops.push_back(static_cast<int>(v));
+  }
+  return o;
+}
+
+class RemoteShard final : public ShardJob {
+ public:
+  RemoteShard(ShardCall call, std::string token, std::size_t begin,
+              std::size_t end)
+      : call_(std::move(call)), token_(std::move(token)), range_{begin, end} {}
+
+  std::size_t begin() const override { return range_.first; }
+  std::size_t end() const override { return range_.second; }
+
+  bool run_interval() override {
+    const WireMessage r = send("istep");
+    found_valid_ = r.get_bool("found_valid").value_or(false);
+    return r.get_bool("boundary").value_or(false);
+  }
+  bool found_valid() const override { return found_valid_; }
+
+  std::string collect(std::size_t island) override {
+    const WireMessage r = send("icollect", island);
+    const std::string* frame = r.get_string("frame");
+    if (!frame) throw std::runtime_error("icollect missing frame");
+    return *frame;
+  }
+  void inject(std::size_t island, const std::string& frame) override {
+    send("imigrate", island, &frame);
+  }
+  void advance() override { send("iadvance"); }
+  ShardOutcome finish() override { return parse_outcome(send("ifinish")); }
+
+ private:
+  WireMessage send(const char* verb, std::optional<std::size_t> island = {},
+                   const std::string* frame = nullptr) {
+    JsonWriter w;
+    w.field("cmd", verb).field("shard", std::string_view(token_));
+    if (island) w.field("island", static_cast<std::uint64_t>(*island));
+    if (frame) w.field("frame", std::string_view(*frame));
+    return call_(w.finish());
+  }
+
+  ShardCall call_;
+  std::string token_;
+  std::pair<std::size_t, std::size_t> range_;
+  bool found_valid_ = false;
+};
+
 }  // namespace
 
-void add_worker_verbs(serve::Protocol& protocol) {
-  serve::PlanService& service = protocol.service();
+void add_worker_verbs(serve::Protocol& protocol, serve::PlanService& service) {
+  serve::add_service_verbs(protocol, service);
   const auto shards = std::make_shared<ShardTable>();
 
   protocol.add_verb("ping", [](const WireMessage&, bool&) {
@@ -234,9 +307,7 @@ void add_worker_verbs(serve::Protocol& protocol) {
     }
     return table.with(token, false, [island](ShardJob& job) {
       JsonWriter w;
-      w.field("ok", true)
-          .field("frame",
-                 std::string_view(encode_migrants(job.collect(island))));
+      w.field("ok", true).field("frame", std::string_view(job.collect(island)));
       return w.finish();
     });
   });
@@ -252,10 +323,7 @@ void add_worker_verbs(serve::Protocol& protocol) {
       return error_response(field_error);
     }
     return table.with(token, false, [&](ShardJob& job) {
-      std::string err;
-      const auto batch = parse_migrants(*frame, &err);
-      if (!batch) return error_response("bad frame: " + err);
-      job.inject(island, *batch);
+      job.inject(island, *frame);
       return ok_response();
     });
   });
@@ -278,6 +346,13 @@ void add_worker_verbs(serve::Protocol& protocol) {
     w.field("ok", true).field("erased", table.erase(token));
     return w.finish();
   });
+}
+
+std::unique_ptr<ShardJob> make_remote_shard(ShardCall call, std::string token,
+                                            std::size_t begin,
+                                            std::size_t end) {
+  return std::make_unique<RemoteShard>(std::move(call), std::move(token),
+                                       begin, end);
 }
 
 }  // namespace gaplan::dist

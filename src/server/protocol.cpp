@@ -16,6 +16,9 @@ std::string error_response(std::string_view message) {
   return w.finish();
 }
 
+namespace {
+
+/// poll/wait answer: lifecycle state, the plan once done, and timing.
 std::string render_status(const RequestStatus& st) {
   JsonWriter w;
   w.field("ok", true)
@@ -43,6 +46,8 @@ std::string render_status(const RequestStatus& st) {
   return w.finish();
 }
 
+/// trace answer: where the request's wall-clock went plus its trace id
+/// (the key analyze_trace.py joins on). Carries no plan payload.
 std::string render_trace(const RequestStatus& st) {
   JsonWriter w;
   w.field("ok", true)
@@ -65,6 +70,7 @@ std::string render_trace(const RequestStatus& st) {
   return w.finish();
 }
 
+/// stats answer: lifetime tallies, cache counters and latency histograms.
 std::string render_stats(const PlanService& service) {
   const auto s = service.snapshot();
   JsonWriter w;
@@ -98,6 +104,9 @@ std::string render_stats(const PlanService& service) {
   return w.finish();
 }
 
+/// metrics answer: the whole registry as nested JSON (default, or
+/// "format":"json") or the Prometheus text exposition
+/// ("format":"prometheus").
 std::string render_metrics(const WireMessage& msg) {
   const std::string* format = msg.get_string("format");
   JsonWriter w;
@@ -117,6 +126,8 @@ std::string render_metrics(const WireMessage& msg) {
   return w.finish();
 }
 
+/// submit: parses the request (server/request_codec.hpp), admits it, and
+/// answers with its id and state ("done" on a cache hit).
 std::string handle_submit(PlanService& service, const WireMessage& msg) {
   PlanRequest req;
   std::string parse_error;
@@ -137,23 +148,32 @@ std::string handle_submit(PlanService& service, const WireMessage& msg) {
   return w.finish();
 }
 
-Protocol::Protocol(PlanService& service) : service_(service) {
-  add_verb("submit", [this](const WireMessage& msg, bool&) {
-    return handle_submit(service_, msg);
-  });
-  for (const char* cmd : {"poll", "wait", "cancel"}) {
-    add_verb(cmd, [this, cmd](const WireMessage& msg, bool&) {
-      return id_verb(cmd, msg);
-    });
+/// poll, wait, cancel and trace: the verbs that address a request by id.
+std::string id_verb(PlanService& service, const std::string& cmd,
+                    const WireMessage& msg) {
+  std::uint64_t id = 0;
+  std::string id_error;
+  if (!msg.get_integer("id", id, id_error, 1)) return error_response(id_error);
+  if (id == 0) return error_response(cmd + " needs an 'id'");
+  if (cmd == "cancel") {
+    const bool cancelled = service.cancel(id);
+    JsonWriter w;
+    w.field("ok", true).field("id", id).field("cancelled", cancelled);
+    return w.finish();
   }
-  add_verb("stats", [this](const WireMessage&, bool&) {
-    return render_stats(service_);
-  });
+  const std::optional<RequestStatus> st =
+      cmd == "wait"
+          ? service.wait(id, msg.get_number("timeout_ms").value_or(-1.0))
+          : service.status(id);
+  if (!st) return error_response("unknown id " + std::to_string(id));
+  return cmd == "trace" ? render_trace(*st) : render_status(*st);
+}
+
+}  // namespace
+
+Protocol::Protocol() {
   add_verb("metrics",
            [](const WireMessage& msg, bool&) { return render_metrics(msg); });
-  add_verb("trace", [this](const WireMessage& msg, bool&) {
-    return id_verb("trace", msg);
-  });
   add_verb("shutdown", [this](const WireMessage& msg, bool& close_after) {
     const bool drain = msg.get_bool("drain").value_or(true);
     drain_.store(drain);
@@ -175,26 +195,22 @@ void Protocol::add_verb(std::string name, Verb verb) {
   verbs_.emplace_back(std::move(name), std::move(verb));
 }
 
-std::string Protocol::id_verb(const std::string& cmd, const WireMessage& msg) {
-  std::uint64_t id = 0;
-  std::string id_error;
-  if (!msg.get_integer("id", id, id_error, 1)) return error_response(id_error);
-  if (id == 0) return error_response(cmd + " needs an 'id'");
-  if (cmd == "cancel") {
-    const bool cancelled = service_.cancel(id);
-    JsonWriter w;
-    w.field("ok", true).field("id", id).field("cancelled", cancelled);
-    return w.finish();
+void add_service_verbs(Protocol& protocol, PlanService& service) {
+  protocol.add_verb("submit", [&service](const WireMessage& msg, bool&) {
+    return handle_submit(service, msg);
+  });
+  for (const char* cmd : {"poll", "wait", "cancel", "trace"}) {
+    protocol.add_verb(cmd, [&service, cmd](const WireMessage& msg, bool&) {
+      return id_verb(service, cmd, msg);
+    });
   }
-  const std::optional<RequestStatus> st =
-      cmd == "wait"
-          ? service_.wait(id, msg.get_number("timeout_ms").value_or(-1.0))
-          : service_.status(id);
-  if (!st) return error_response("unknown id " + std::to_string(id));
-  return cmd == "trace" ? render_trace(*st) : render_status(*st);
+  protocol.add_verb("stats", [&service](const WireMessage&, bool&) {
+    return render_stats(service);
+  });
 }
 
-std::string Protocol::handle_line(const std::string& line, bool& close_after) {
+std::string Protocol::handle_line(const std::string& line,
+                                  bool& close_after) const {
   WireMessage msg;
   std::string parse_error;
   if (!parse_wire_message(line, msg, parse_error)) {

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dist_lint.hpp"
@@ -24,6 +27,7 @@
 #include "server/plan_service.hpp"
 #include "server/problem_spec.hpp"
 #include "server/request_codec.hpp"
+#include "server/wire.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -414,6 +418,20 @@ TEST(PartitionIslands, DeterministicTieBreak) {
   EXPECT_EQ(a, b);
 }
 
+/// A K-island request through run_sharded_islands, the coordinator the
+/// router runs, over one in-process shard per [begin, end) group.
+dist::ShardOutcome run_local_shards(
+    const serve::ProblemSpec& spec, const ga::GaConfig& cfg,
+    const ga::IslandConfig& icfg, std::uint64_t seed,
+    const std::vector<std::pair<std::size_t, std::size_t>>& groups) {
+  std::vector<std::unique_ptr<dist::ShardJob>> shards;
+  for (const auto& [begin, end] : groups) {
+    shards.push_back(dist::make_shard_job(spec, cfg, icfg, begin, end, seed));
+  }
+  return dist::run_sharded_islands(shards, icfg.islands,
+                                   /*stop_on_valid=*/false);
+}
+
 /// The tentpole invariant: the merged sharded outcome is a pure function of
 /// (problem, config, seed, K) — identical whether the islands run as one
 /// group, two groups, or in the single-process run_islands loop.
@@ -436,12 +454,10 @@ TEST(ShardedIslands, BitParityWithSingleProcessRun) {
   util::Rng rng(seed);
   const auto single = ga::run_islands(hanoi, cfg, icfg, rng);
 
-  const auto one_group = dist::run_sharded_islands(
-      *spec, cfg, icfg, seed, /*stop_on_valid=*/false, {{0, 4}});
-  const auto two_groups = dist::run_sharded_islands(
-      *spec, cfg, icfg, seed, /*stop_on_valid=*/false, {{0, 2}, {2, 4}});
-  const auto uneven = dist::run_sharded_islands(
-      *spec, cfg, icfg, seed, /*stop_on_valid=*/false, {{0, 1}, {1, 4}});
+  const auto one_group = run_local_shards(*spec, cfg, icfg, seed, {{0, 4}});
+  const auto two_groups =
+      run_local_shards(*spec, cfg, icfg, seed, {{0, 2}, {2, 4}});
+  const auto uneven = run_local_shards(*spec, cfg, icfg, seed, {{0, 1}, {1, 4}});
 
   for (const dist::ShardOutcome* out : {&one_group, &two_groups, &uneven}) {
     EXPECT_EQ(out->found_valid, single.found_valid);
@@ -457,6 +473,78 @@ TEST(ShardedIslands, BitParityWithSingleProcessRun) {
     EXPECT_EQ(out->best_plan_cost, single.best.eval.plan_cost);
     EXPECT_EQ(out->best_ops, single.best.eval.ops);
   }
+}
+
+/// A shard whose interval fails, beside a healthy one.
+struct FailingShard final : dist::ShardJob {
+  std::size_t begin() const override { return 1; }
+  std::size_t end() const override { return 2; }
+  bool run_interval() override { throw std::runtime_error("shard lost"); }
+  bool found_valid() const override { return false; }
+  std::string collect(std::size_t) override { return {}; }
+  void inject(std::size_t, const std::string&) override {}
+  void advance() override {}
+  dist::ShardOutcome finish() override { return {}; }
+};
+
+/// The coordinator joins every shard's interval, then rethrows a failure;
+/// it refuses shards that do not tile the islands.
+TEST(ShardedIslands, CoordinatorRethrowsAShardFailureAndChecksTheTiling) {
+  std::string err;
+  const auto spec = serve::ProblemSpec::parse("hanoi:3", err);
+  ga::GaConfig cfg;
+  cfg.population_size = 20;
+  cfg.generations = 10;
+  cfg.phases = 1;
+  ga::IslandConfig icfg;
+  icfg.islands = 2;
+  icfg.migration_interval = 5;
+
+  std::vector<std::unique_ptr<dist::ShardJob>> shards;
+  shards.push_back(dist::make_shard_job(*spec, cfg, icfg, 0, 1, 3));
+  shards.push_back(std::make_unique<FailingShard>());
+  EXPECT_THROW(
+      {
+        try {
+          dist::run_sharded_islands(shards, icfg.islands, false);
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "shard lost");
+          throw;
+        }
+      },
+      std::runtime_error);
+
+  shards.pop_back();  // islands [0, 1) of 2
+  EXPECT_THROW(dist::run_sharded_islands(shards, icfg.islands, false),
+               std::invalid_argument);
+}
+
+/// The island fields of a routed submit and of ishard: one parser, errors
+/// that name the field.
+TEST(ShardedIslands, IslandFieldsNameTheBadField) {
+  const auto parse = [](const std::string& line, ga::IslandConfig& icfg) {
+    serve::WireMessage msg;
+    std::string err;
+    EXPECT_TRUE(serve::parse_wire_message(line, msg, err)) << err;
+    EXPECT_FALSE(dist::parse_island_fields(msg, icfg, err));
+    return err;
+  };
+  ga::IslandConfig icfg;
+  EXPECT_EQ(parse(R"({"islands":0})", icfg), "'islands' must be >= 1");
+  EXPECT_EQ(parse(R"({})", icfg), "'islands' must be >= 1");
+  EXPECT_EQ(parse(R"({"islands":2,"interval":-1})", icfg).rfind("'interval'", 0),
+            0u);
+  EXPECT_EQ(parse(R"({"islands":2,"migrants":1.5})", icfg).rfind("'migrants'", 0),
+            0u);
+
+  serve::WireMessage msg;
+  std::string err;
+  ASSERT_TRUE(serve::parse_wire_message(
+      R"({"islands":3,"interval":7,"migrants":1})", msg, err));
+  ASSERT_TRUE(dist::parse_island_fields(msg, icfg, err)) << err;
+  EXPECT_EQ(icfg.islands, 3u);
+  EXPECT_EQ(icfg.migration_interval, 7u);
+  EXPECT_EQ(icfg.migrants, 1u);
 }
 
 TEST(ShardedIslands, MergeReplicatesTieBreaks) {

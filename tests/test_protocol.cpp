@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <latch>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,12 +45,16 @@ using serve::ServerConfig;
 using serve::WireMessage;
 
 const char* const kServeVerbs =
-    "submit|poll|wait|cancel|stats|metrics|trace|shutdown";
+    "metrics|shutdown|submit|poll|wait|cancel|trace|stats";
 
 /// A PlanService with its protocol table; `worker` adds the dist verbs.
 struct Session {
-  explicit Session(bool worker = false) : service(config()), protocol(service) {
-    if (worker) dist::add_worker_verbs(protocol);
+  explicit Session(bool worker = false) : service(config()) {
+    if (worker) {
+      dist::add_worker_verbs(protocol, service);
+    } else {
+      serve::add_service_verbs(protocol, service);
+    }
   }
   static ServerConfig config() {
     ServerConfig cfg;
@@ -265,6 +274,17 @@ TEST(ProtocolWorker, CachePutProbeDelRoundTrip) {
             "cache_probe needs a valid 'fp'");
 }
 
+/// Island verbs straight into a worker session, as dist::ShardCall.
+dist::ShardCall worker_call(Session& w) {
+  return [&w](const std::string& line) {
+    WireMessage resp = w.call(line);
+    if (!ok(resp)) throw std::runtime_error(line + ": " + error_of(resp));
+    return resp;
+  };
+}
+
+/// The shared coordinator over a worker's island verbs gives the
+/// single-process answer.
 TEST(ProtocolWorker, ShardRunMatchesRunIslands) {
   Session w(/*worker=*/true);
   serve::PlanRequest req;
@@ -294,32 +314,12 @@ TEST(ProtocolWorker, ShardRunMatchesRunIslands) {
   EXPECT_EQ(error_of(w.call(serve::render_wire_message(ishard))),
             "shard token already in use");
 
-  const std::string token = R"(,"shard":"s1")";
-  for (;;) {
-    const WireMessage step = w.call(R"({"cmd":"istep")" + token + "}");
-    ASSERT_TRUE(ok(step));
-    if (!step.get_bool("boundary").value()) break;
-    // Ring migration, all collects before all injects (as run_islands).
-    std::vector<std::string> frames;
-    for (std::size_t i = 0; i < icfg.islands; ++i) {
-      const WireMessage c = w.call(R"({"cmd":"icollect")" + token +
-                                   R"(,"island":)" + std::to_string(i) + "}");
-      ASSERT_TRUE(ok(c));
-      frames.push_back(*c.get_string("frame"));
-    }
-    for (std::size_t i = 0; i < icfg.islands; ++i) {
-      serve::JsonWriter m;
-      m.field("cmd", "imigrate")
-          .field("shard", "s1")
-          .field("island", static_cast<std::uint64_t>((i + 1) % icfg.islands))
-          .field("frame", std::string_view(frames[i]));
-      ASSERT_TRUE(ok(w.call(m.finish())));
-    }
-    ASSERT_TRUE(ok(w.call(R"({"cmd":"iadvance")" + token + "}")));
-  }
-  const WireMessage out = w.call(R"({"cmd":"ifinish")" + token + "}");
-  ASSERT_TRUE(ok(out));
-  EXPECT_EQ(error_of(w.call(R"({"cmd":"istep")" + token + "}")),
+  std::vector<std::unique_ptr<dist::ShardJob>> shards;
+  shards.push_back(
+      dist::make_remote_shard(worker_call(w), "s1", 0, icfg.islands));
+  const dist::ShardOutcome out = dist::run_sharded_islands(
+      shards, icfg.islands, req.config.stop_on_valid);
+  EXPECT_EQ(error_of(w.call(R"({"cmd":"istep","shard":"s1"})")),
             "unknown shard token");  // ifinish erased it
 
   const domains::Hanoi hanoi(req.problem.disks, req.problem.initial_stake,
@@ -327,20 +327,14 @@ TEST(ProtocolWorker, ShardRunMatchesRunIslands) {
   util::Rng rng(req.seed);
   const auto single = ga::run_islands(
       hanoi, serve::tuned_config(req.problem, req.config), icfg, rng);
-  EXPECT_EQ(out.get_bool("found_valid"), single.found_valid);
-  EXPECT_EQ(out.get_number("generations_run"),
-            static_cast<double>(single.generations_run));
-  EXPECT_EQ(out.get_number("migrations"),
-            static_cast<double>(single.migrations));
-  EXPECT_EQ(out.get_number("best_island"),
-            static_cast<double>(single.best_island));
-  EXPECT_EQ(out.get_number("best_fitness"), single.best.eval.fitness);
-  EXPECT_EQ(out.get_number("best_goal_fit"), single.best.eval.goal_fit);
-  EXPECT_EQ(out.get_number("best_plan_cost"), single.best.eval.plan_cost);
-  const std::vector<double> want(single.best.eval.ops.begin(),
-                                 single.best.eval.ops.end());
-  ASSERT_NE(out.get_array("plan"), nullptr);
-  EXPECT_EQ(*out.get_array("plan"), want);
+  EXPECT_EQ(out.found_valid, single.found_valid);
+  EXPECT_EQ(out.generations_run, single.generations_run);
+  EXPECT_EQ(out.migrations, single.migrations);
+  EXPECT_EQ(out.best_island, single.best_island);
+  EXPECT_EQ(out.best_fitness, single.best.eval.fitness);
+  EXPECT_EQ(out.best_goal_fit, single.best.eval.goal_fit);
+  EXPECT_EQ(out.best_plan_cost, single.best.eval.plan_cost);
+  EXPECT_EQ(out.best_ops, single.best.eval.ops);
 }
 
 /// A shard started with the caller's trace id journals its islands' spans
@@ -549,16 +543,25 @@ TEST(LineServer, JoinsConnectionThreadsAsTheyExit) {
 }
 
 /// A worker front end over TCP: a Session's protocol (serve verbs plus the
-/// dist verbs) behind a TcpLineServer on an ephemeral port.
+/// dist verbs) behind a TcpLineServer on an ephemeral port. A `tap` sees
+/// every line first; a non-empty answer from it replaces the session's.
 struct TcpWorker {
-  TcpWorker()
-      : server([this](const std::string& line, bool& close_after) {
+  using Tap = std::function<std::string(const std::string& line)>;
+
+  explicit TcpWorker(Tap tap_fn = nullptr)
+      : tap(std::move(tap_fn)),
+        server([this](const std::string& line, bool& close_after) {
+          if (tap) {
+            std::string answer = tap(line);
+            if (!answer.empty()) return answer;
+          }
           return session.raw(line, close_after);
         }) {
     EXPECT_TRUE(server.start(0));
   }
   dist::BackendSpec spec() const { return {"127.0.0.1", server.port(), 1.0}; }
 
+  Tap tap;
   Session session{/*worker=*/true};
   serve::TcpLineServer server;
 };
@@ -660,6 +663,160 @@ TEST(RouterBackends, ReportsLiveAndDeadBackends) {
   EXPECT_NE(second->find(" backoff_ms="), std::string::npos) << *second;
   EXPECT_EQ(first->find("backoff_ms"), std::string::npos) << *first;
   router.stop();
+}
+
+/// Routed island submits: hanoi:4, K = 4, interval 5, every generation run.
+const char* const kIslandSubmit =
+    R"({"cmd":"submit","problem":"hanoi:4","pop":40,"gens":20,"phases":1,)"
+    R"("seed":17,"stop_on_valid":false,"islands":4,"interval":5,)"
+    R"("migrants":2})";
+
+/// The router's answer to kIslandSubmit carries run_islands' result for the
+/// same request, field by field.
+void expect_single_process_answer(const WireMessage& answer) {
+  WireMessage msg = Session::parse(kIslandSubmit);
+  serve::PlanRequest req;
+  std::string err;
+  ASSERT_TRUE(serve::parse_plan_request(msg, req, err)) << err;
+  ga::IslandConfig icfg;
+  ASSERT_TRUE(dist::parse_island_fields(msg, icfg, err)) << err;
+  const domains::Hanoi hanoi(req.problem.disks, req.problem.initial_stake,
+                             req.problem.goal_stake);
+  util::Rng rng(req.seed);
+  const auto single = ga::run_islands(
+      hanoi, serve::tuned_config(req.problem, req.config), icfg, rng);
+
+  ASSERT_TRUE(ok(answer));
+  EXPECT_EQ(*answer.get_string("state"), "done");
+  EXPECT_EQ(answer.get_number("islands"), 4.0);
+  EXPECT_EQ(answer.get_bool("found_valid"), single.found_valid);
+  if (single.found_valid) {
+    EXPECT_EQ(answer.get_number("generation_found"),
+              static_cast<double>(single.generation_found));
+  }
+  EXPECT_EQ(answer.get_number("generations"),
+            static_cast<double>(single.generations_run));
+  EXPECT_EQ(answer.get_number("migrations"),
+            static_cast<double>(single.migrations));
+  EXPECT_EQ(answer.get_number("best_island"),
+            static_cast<double>(single.best_island));
+  EXPECT_EQ(answer.get_bool("valid"), single.best.eval.valid);
+  EXPECT_EQ(answer.get_number("steps"),
+            static_cast<double>(single.best.eval.ops.size()));
+  EXPECT_EQ(answer.get_number("plan_cost"), single.best.eval.plan_cost);
+  EXPECT_EQ(answer.get_number("goal_fitness"), single.best.eval.goal_fit);
+  const std::vector<double> want(single.best.eval.ops.begin(),
+                                 single.best.eval.ops.end());
+  ASSERT_NE(answer.get_array("plan"), nullptr);
+  EXPECT_EQ(*answer.get_array("plan"), want);
+}
+
+WireMessage route(const dist::RouterService& router, const std::string& line) {
+  bool close_after = false;
+  return Session::parse(router.handle_line(line, close_after));
+}
+
+/// The router's island coordinator over two in-process workers gives the
+/// single-process answer; with a dead backend in the config the run uses
+/// the one live worker and still gives it.
+TEST(RouterIslands, MatchesRunIslands) {
+  TcpWorker a;
+  TcpWorker b;
+  for (const bool with_dead : {false, true}) {
+    SCOPED_TRACE(with_dead ? "one worker and a dead backend" : "two workers");
+    dist::RouterConfig cfg;
+    cfg.backends = {a.spec()};
+    cfg.backends.push_back(with_dead ? dead_backend() : b.spec());
+    dist::RouterService router(cfg);
+    router.start();
+    const WireMessage answer = route(router, kIslandSubmit);
+    expect_single_process_answer(answer);
+    EXPECT_EQ(answer.get_number("workers"), with_dead ? 1.0 : 2.0);
+    EXPECT_EQ(answer.get_number("restarts"), 0.0);
+    router.stop();
+  }
+}
+
+/// A malformed answer to one worker's first istep marks it down mid-run:
+/// the run restarts once, on a fresh shard token, and still gives the
+/// single-process answer.
+TEST(RouterIslands, RestartsOnAFreshTokenAfterAWorkerFails) {
+  std::mutex mu;
+  std::set<std::string> tokens;  // ishard tokens the healthy worker saw
+  TcpWorker healthy([&](const std::string& line) {
+    const WireMessage msg = Session::parse(line);
+    if (const std::string* cmd = msg.get_string("cmd"); cmd && *cmd == "ishard") {
+      const std::lock_guard<std::mutex> lock(mu);
+      tokens.insert(*msg.get_string("shard"));
+    }
+    return std::string();
+  });
+  std::atomic<bool> failed{false};
+  TcpWorker faulty([&](const std::string& line) {
+    if (line.find(R"("cmd":"istep")") != std::string::npos &&
+        !failed.exchange(true)) {
+      return std::string("{not json");
+    }
+    return std::string();
+  });
+  dist::RouterConfig cfg;
+  cfg.backends = {faulty.spec(), healthy.spec()};
+  dist::RouterService router(cfg);
+  router.start();
+
+  const WireMessage answer = route(router, kIslandSubmit);
+  expect_single_process_answer(answer);
+  EXPECT_TRUE(failed.load());
+  EXPECT_EQ(answer.get_number("restarts"), 1.0);
+  const WireMessage stats = route(router, R"({"cmd":"stats"})");
+  EXPECT_EQ(stats.get_number("island_runs"), 1.0);
+  EXPECT_EQ(stats.get_number("island_restarts"), 1.0);
+  EXPECT_EQ(router.stats().island_restarts, 1u);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(tokens.size(), 2u) << "each attempt draws its own token";
+  }
+  router.stop();
+}
+
+/// The router answers on the shared verb table: its unknown-verb error
+/// lists the router's verbs, parse errors keep their prefix, metrics and
+/// shutdown come from the table, and both island fields are checked by the
+/// parser ishard uses.
+TEST(RouterVerbs, AnswerThroughTheSharedTable) {
+  dist::RouterConfig cfg;
+  cfg.backends = {dead_backend()};
+  dist::RouterService router(cfg);
+
+  EXPECT_EQ(error_of(route(router, R"({"cmd":"bogus"})")),
+            "unknown cmd 'bogus' (metrics|shutdown|submit|wait|poll|cancel|"
+            "trace|stats|backends|route|ping)");
+  EXPECT_EQ(error_of(route(router, "this is not json")).rfind("parse: ", 0),
+            0u);
+  EXPECT_EQ(error_of(route(router, "{}")), "missing 'cmd'");
+  EXPECT_EQ(*route(router, R"({"cmd":"ping"})").get_string("role"), "router");
+
+  const std::string submit =
+      R"({"cmd":"submit","problem":"hanoi:3","pop":20,"gens":5,)";
+  EXPECT_EQ(error_of(route(router, submit + R"("islands":0})")),
+            "'islands' must be >= 1");
+  EXPECT_NE(error_of(route(router, submit + R"("islands":2,"interval":-1})"))
+                .find("'interval'"),
+            std::string::npos);
+
+  bool close_after = false;
+  const std::string metrics =
+      router.handle_line(R"({"cmd":"metrics"})", close_after);
+  EXPECT_EQ(metrics.rfind(R"({"ok":true,"format":"json","metrics":{)", 0), 0u)
+      << metrics;
+  EXPECT_NE(metrics.find("\"dist.submitted\""), std::string::npos);
+
+  EXPECT_FALSE(router.protocol().shutdown_requested());
+  const WireMessage bye =
+      Session::parse(router.handle_line(R"({"cmd":"shutdown"})", close_after));
+  EXPECT_TRUE(ok(bye));
+  EXPECT_TRUE(close_after);
+  EXPECT_TRUE(router.protocol().shutdown_requested());
 }
 
 #endif  // GAPLAN_TCP
