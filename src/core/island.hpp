@@ -63,7 +63,7 @@ inline bool outranks(const IslandRank& a, const IslandRank& b) noexcept {
 /// island evaluates generation g before any reproduces into g + 1. Runs
 /// pause at each migration boundary after the evaluate step with the
 /// reproduce step deferred, so the caller can move migrants — in process
-/// (run_islands) or across processes (dist::IslandShardRunner) — and then
+/// (run_islands) or across processes (dist::make_shard_job) — and then
 /// advance(). Per-island RNG streams are split off the run seed for all K
 /// islands before the group keeps its range, so how the islands are grouped
 /// never changes any island's randomness.
