@@ -97,6 +97,7 @@ bool BackendPool::probe(std::size_t index) {
   int port = 0;
   Conn conn;
   bool was_up = false;
+  std::vector<std::string> pending;
   {
     util::MutexLock lock(mu_);
     Backend& b = backends_[index];
@@ -104,13 +105,14 @@ bool BackendPool::probe(std::size_t index) {
     if (stopping_) return false;
     b.busy = true;
     conn = std::move(b.conn);
+    pending.swap(b.pending);
     host = b.spec.host;
     port = b.spec.port;
     was_up = b.up;
   }
   bool ok = conn.connected() || conn.connect(host, port);
+  std::string raw;
   if (ok) {
-    std::string raw;
     ok = conn.roundtrip("{\"cmd\":\"ping\"}", raw);
     if (ok) {
       serve::WireMessage pong;
@@ -119,10 +121,19 @@ bool BackendPool::probe(std::size_t index) {
            pong.get_bool("ok").value_or(false);
     }
   }
+  std::size_t sent = 0;
+  while (ok && sent < pending.size()) {
+    ok = conn.roundtrip(pending[sent], raw);
+    if (ok) ++sent;
+  }
   util::MutexLock lock(mu_);
   Backend& b = backends_[index];
   b.conn = std::move(conn);
   b.busy = false;
+  // Unsent lines go back ahead of any queued meanwhile.
+  b.pending.insert(b.pending.begin(),
+                   std::make_move_iterator(pending.begin() + sent),
+                   std::make_move_iterator(pending.end()));
   if (ok) {
     b.backoff_ms = 0;
     if (!b.up) {
@@ -252,6 +263,11 @@ bool BackendPool::rpc(const std::string& id, const std::string& line,
   }
   cv_.notify_all();
   return ok;
+}
+
+void BackendPool::send_when_up(const std::string& id, std::string line) {
+  util::MutexLock lock(mu_);
+  if (Backend* b = find_locked(id)) b->pending.push_back(std::move(line));
 }
 
 std::vector<BackendPool::BackendState> BackendPool::snapshot() const {

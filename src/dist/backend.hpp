@@ -14,6 +14,8 @@
 // per-backend busy flag, waited on via condvar), does the roundtrip
 // unlocked, then checks it back in. The heartbeat thread uses the same
 // checkout protocol, so it can never race a request on the same socket.
+// Lines queued with send_when_up() ride that checkout: a successful probe
+// sends them before it marks the backend up.
 #pragma once
 
 #include "dist/net.hpp"
@@ -63,6 +65,12 @@ class BackendPool {
            serve::WireMessage& response, std::string& error)
       GAPLAN_EXCLUDES(mu_);
 
+  /// Queues `line` for `id`: the next probe that finds it answering sends
+  /// it (answer ignored) before marking the backend up. For cleanup a
+  /// backend must see even when rpc() cannot reach it now.
+  void send_when_up(const std::string& id, std::string line)
+      GAPLAN_EXCLUDES(mu_);
+
   struct BackendState {
     std::string id;
     double weight = 1.0;
@@ -87,6 +95,7 @@ class BackendPool {
     std::uint64_t rpcs = 0;
     std::uint64_t failures = 0;
     std::uint64_t mark_downs = 0;
+    std::vector<std::string> pending;  ///< send_when_up lines, oldest first
   };
 
   Backend* find_locked(const std::string& id) GAPLAN_REQUIRES(mu_);

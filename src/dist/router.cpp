@@ -472,19 +472,21 @@ std::string RouterService::handle_island(serve::PlanRequest req,
       if (ctx.valid()) w.field("trace", ctx.trace);
       return w.finish();
     } catch (const std::exception& e) {
-      // Best-effort cleanup on the survivors, then restart on whoever is
-      // still up — bounded by the same retry budget as single requests.
+      // Abort the attempt's shards, then restart on whoever is still up —
+      // bounded by the same retry budget as single requests. A worker that
+      // cannot take its iabort now (marked down) gets it when the heartbeat
+      // next reaches it, so its shard does not outlive the run.
       JsonWriter abort;
       abort.field("cmd", "iabort")
           .field("shard", std::string_view(ishard.strings["shard"]));
       const std::string abort_line = abort.finish();
       for (std::size_t i = 0; i < workers.size(); ++i) {
-        if (groups[i].first == groups[i].second || !pool_.is_up(workers[i])) {
-          continue;
-        }
+        if (groups[i].first == groups[i].second) continue;
         WireMessage resp;
         std::string err;
-        pool_.rpc(workers[i], abort_line, resp, err);
+        if (!pool_.rpc(workers[i], abort_line, resp, err)) {
+          pool_.send_when_up(workers[i], abort_line);
+        }
       }
       c_island_restarts.inc();
       {

@@ -25,7 +25,9 @@
 //    the same lockstep coordinator the in-process parity tests run
 //    (dist/island_shard.hpp documents why the merge is bit-exact). A worker
 //    failure mid-run aborts and restarts the run on the survivors under a
-//    fresh shard token, bounded by retry-limit.
+//    fresh shard token, bounded by retry-limit; a worker that is down at
+//    the abort gets its iabort when the heartbeat reaches it again
+//    (BackendPool::send_when_up).
 //
 // The client-facing verbs live on a serve::Protocol table, the one
 // dispatcher of every gaplan front end: the table answers malformed lines,

@@ -779,6 +779,84 @@ TEST(RouterIslands, RestartsOnAFreshTokenAfterAWorkerFails) {
   router.stop();
 }
 
+/// The same failure, but the worker is back up for a later attempt: the
+/// heartbeat hands it the failed attempt's iabort, and the retry runs on
+/// both workers under a fresh token. Until it is back, the healthy worker
+/// refuses a shard of all four islands, each refusal one more restart.
+TEST(RouterIslands, RecoveredWorkerRejoinsUnderAFreshToken) {
+  std::mutex mu;
+  std::vector<std::string> faulty_tokens;  // ishard tokens, in order
+  std::set<std::string> faulty_aborts;     // iabort tokens
+  std::atomic<bool> failed{false};
+  TcpWorker faulty([&](const std::string& line) {
+    const WireMessage msg = Session::parse(line);
+    const std::string* cmd = msg.get_string("cmd");
+    if (cmd && (*cmd == "ishard" || *cmd == "iabort")) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (*cmd == "ishard") {
+        faulty_tokens.push_back(*msg.get_string("shard"));
+      } else {
+        faulty_aborts.insert(*msg.get_string("shard"));
+      }
+    }
+    if (cmd && *cmd == "istep" && !failed.exchange(true)) {
+      return std::string("{not json");
+    }
+    return std::string();
+  });
+  std::atomic<int> refusals{0};
+  TcpWorker healthy([&](const std::string& line) {
+    const WireMessage msg = Session::parse(line);
+    const std::string* cmd = msg.get_string("cmd");
+    if (cmd && *cmd == "ishard" && failed.load() &&
+        msg.get_number("begin") == 0.0 && msg.get_number("end") == 4.0) {
+      ++refusals;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return std::string(R"({"ok":false,"error":"busy"})");
+    }
+    return std::string();
+  });
+  dist::RouterConfig cfg;
+  cfg.backends = {faulty.spec(), healthy.spec()};
+  cfg.heartbeat_interval_ms = 10;
+  cfg.reconnect_backoff_ms = 10;
+  cfg.reconnect_backoff_max_ms = 10;
+  cfg.retry_limit = 1000;
+  dist::RouterService router(cfg);
+  router.start();
+
+  const WireMessage answer = route(router, kIslandSubmit);
+  expect_single_process_answer(answer);
+  EXPECT_TRUE(failed.load());
+  EXPECT_EQ(answer.get_number("workers"), 2.0);
+  EXPECT_EQ(answer.get_number("restarts"),
+            static_cast<double>(refusals.load() + 1));
+  EXPECT_EQ(router.stats().island_restarts,
+            static_cast<std::uint64_t>(refusals.load() + 1));
+
+  std::string first;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(faulty_tokens.size(), 2u);
+    EXPECT_NE(faulty_tokens[0], faulty_tokens[1]);
+    first = faulty_tokens[0];
+  }
+  // Normally sent before the mark-up; when the heartbeat's probe raced the
+  // abort, on the probe after it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (faulty_aborts.count(first)) break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the down worker never got the failed attempt's iabort";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  router.stop();
+}
+
 /// The router answers on the shared verb table: its unknown-verb error
 /// lists the router's verbs, parse errors keep their prefix, metrics and
 /// shutdown come from the table, and both island fields are checked by the
